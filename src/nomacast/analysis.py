@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .transmission import LinkConfig
 
@@ -34,14 +35,20 @@ def _upper_reg(shape: int, x) -> np.ndarray:
     """Regularized upper incomplete gamma for integer shape.
 
     Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!, evaluated with a
-    Horner recurrence; exact (to rounding) for every integer shape.
+    Horner recurrence; exact (to rounding) for every integer shape.  Above
+    shape 100 the sum can overflow where exp(-x) underflows; such entries
+    come from ``scipy.special.gammaincc`` instead.
     """
     x = np.asarray(x, dtype=np.float64)
     xc = np.minimum(x, _GAMMA_ARG_CAP)
     p = np.ones_like(xc)
-    for m in range(shape - 1, 0, -1):
-        p = 1.0 + p * xc / m
-    return np.exp(-xc) * p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(shape - 1, 0, -1):
+            p = 1.0 + p * xc / m
+        out = np.exp(-xc) * p
+    if shape > 100:
+        out = np.where(np.isfinite(out), out, gammaincc(shape, xc))
+    return out
 
 
 def _lower_reg(shape: int, x) -> np.ndarray:
@@ -233,7 +240,8 @@ def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     """
     q1 = multicast_outage_prob(p)
     thr = p.eps_m / p.rho
-    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr)) / p.k**p.m)
+    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr))
+               * float(p.k) ** -p.m)
 
     slope = p.eps_m / (p.rho * p.psi)
 
@@ -273,7 +281,8 @@ def unicast_outage_bounds(p: AnalysisParams) -> OutageBounds:
     """
     thr = p.eps_m / p.rho
     q1 = multicast_outage_prob(p)
-    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr)) / p.k**p.m)
+    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr))
+               * float(p.k) ** -p.m)
     q31 = float(np.exp(-(p.k - 1) * thr) - np.exp(-(p.k - 1) * (thr + p.psi)))
     upper = min(1.0, q1 + q2 + q31)
     return OutageBounds(q1, upper, p.k * thr, q1, q2, q31)
@@ -295,7 +304,7 @@ def noma_shortfall_bound(p: AnalysisParams) -> ShortfallBound:
     schemes deliver the same rate, so P(z1 > eps_m/rho, z1 < u) lower-bounds
     the comparison probability; it tends to K^-M as the SNR grows.
     """
-    exact = float(_upper_reg(p.m, p.k * p.eps_m / p.rho) / p.k**p.m)
+    exact = float(_upper_reg(p.m, p.k * p.eps_m / p.rho) * float(p.k) ** -p.m)
     return ShortfallBound(exact, float(p.k) ** (-p.m))
 
 
@@ -406,7 +415,7 @@ def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,
             f"secrecy analytics need K >= 3, got K={p.k}; use Monte Carlo instead")
     thr = p.eps_m / p.rho
     q5 = float(1.0 - _upper_reg(p.m, thr) * np.exp(-p.eps_m * (p.k - 1) / p.rho)
-               + p.k**(-p.m) * _upper_reg(p.m, p.eps_m * p.k / p.rho))
+               + float(p.k) ** -p.m * _upper_reg(p.m, p.eps_m * p.k / p.rho))
     q4, q6 = _secrecy_q4_q6(p, rule)
     raw = q4 + q5 + q6
     delta = None

@@ -1,4 +1,4 @@
-"""Rayleigh channel sampling, beamforming, and effective scalar gains.
+"""Beamformer kinds and the effective scalar gains of one realization.
 
 A realization is a K x M complex matrix H (rows are users' channel
 vectors, H[k] ~ CN(0, I_M)).  All rate formulas downstream depend on the
@@ -8,8 +8,12 @@ channel only through the effective gains
 
 for a unit-norm beamformer w.  With maximum ratio transmission toward the
 unicast user, z_1 equals that user's squared channel norm, is
-Gamma(M, 1)-distributed, and every other gain is Exp(1); that fact backs
-the fast direct-gain sampler used for large Monte Carlo runs.
+Gamma(M, 1)-distributed, and every other gain is Exp(1).
+
+Nothing here builds H.  The Monte Carlo engine draws the gains of every
+plan, with or without scheduling and for any OMA beamformer, from their
+exact joint law (see :mod:`nomacast.montecarlo`); the channel-matrix model
+itself lives on as the test oracle in ``tests/full_matrix_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,25 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, bits_to_exponential, bits_to_normal
+from .rng import RngStream, bits_to_exponential
 
 MRT = "mrt"
 EQUAL_GAIN = "equal"
 RANDOM = "random"
 BEAMFORMER_KINDS = (MRT, EQUAL_GAIN, RANDOM)
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """Unit-norm transmit weight vector.
-
-    ``target`` records which user an MRT beamformer was matched to, so the
-    gain computation can take the exact squared-norm shortcut for that row.
-    """
-
-    weights: np.ndarray
-    kind: str
-    target: int | None = None
 
 
 @dataclass(frozen=True)
@@ -58,78 +49,6 @@ def _gains(z1: float, others: np.ndarray) -> EffectiveGains:
     return EffectiveGains(float(z1), others, float(others.min()), float(others.max()))
 
 
-def channels_from_normals(g: np.ndarray, k_users: int, m_antennas: int) -> np.ndarray:
-    """Assemble CN(0, I) channel matrices from interleaved standard normals.
-
-    ``g`` has ``2*K*M`` values per realization along the last axis
-    (re/im interleaved, row-major over users then antennas).
-    """
-    z = (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
-    return z.reshape(*g.shape[:-1], k_users, m_antennas)
-
-
-def sample_channel(k_users: int, m_antennas: int, rng: RngStream) -> np.ndarray:
-    """One K x M channel draw with i.i.d. CN(0, 1) entries.
-
-    Each entry has unit variance per complex coefficient (1/2 per real
-    component), so E|h_k|^2 = M.
-    """
-    if k_users < 2:
-        raise ValueError(f"need at least 2 users, got {k_users}")
-    if m_antennas < 1:
-        raise ValueError(f"need at least 1 antenna, got {m_antennas}")
-    g = bits_to_normal(rng.raw(2 * k_users * m_antennas))
-    return channels_from_normals(g, k_users, m_antennas)
-
-
-def make_beamformer(h: np.ndarray, unicast_index: int, kind: str = MRT,
-                    rng: RngStream | None = None) -> Beamformer:
-    """Build a unit-norm beamformer for the given channel realization.
-
-    MRT matches the unicast user's row (conjugate over its norm), EQUAL_GAIN
-    is the uniform vector, RANDOM is isotropic on the complex unit sphere.
-    """
-    h = np.asarray(h)
-    k_users, m_antennas = h.shape
-    if not 0 <= unicast_index < k_users:
-        raise ValueError(f"unicast index {unicast_index} out of range for K={k_users}")
-    if kind == MRT:
-        row = h[unicast_index]
-        norm = np.linalg.norm(row)
-        if norm == 0.0:
-            raise ValueError("degenerate channel: MRT requested for an all-zero row")
-        return Beamformer(row.conj() / norm, MRT, unicast_index)
-    if kind == EQUAL_GAIN:
-        w = np.full(m_antennas, 1.0 / np.sqrt(m_antennas), dtype=np.complex128)
-        return Beamformer(w, EQUAL_GAIN)
-    if kind == RANDOM:
-        if rng is None:
-            raise ValueError("random beamformer needs an RngStream")
-        g = bits_to_normal(rng.raw(2 * m_antennas))
-        w = g[0::2] + 1j * g[1::2]
-        return Beamformer(w / np.linalg.norm(w), RANDOM)
-    raise ValueError(f"unknown beamformer kind {kind!r}")
-
-
-def effective_gains(h: np.ndarray, w: Beamformer, unicast_index: int) -> EffectiveGains:
-    """Project the channel rows onto the beamformer: z_k = |h_k . w|^2.
-
-    For an MRT beamformer matched to ``unicast_index`` the unicast gain is
-    returned as the exact squared row norm.
-    """
-    h = np.asarray(h)
-    weights = np.asarray(w.weights)
-    if h.shape[1] != weights.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {h.shape}, w has {weights.shape[0]} weights")
-    z = np.abs(h @ weights) ** 2
-    if w.kind == MRT and w.target == unicast_index:
-        z1 = float((h[unicast_index].real ** 2 + h[unicast_index].imag ** 2).sum())
-    else:
-        z1 = float(z[unicast_index])
-    others = np.delete(z, unicast_index)
-    return _gains(z1, others)
-
-
 def sample_gains_direct(k_users: int, m_antennas: int, rng: RngStream) -> EffectiveGains:
     """Draw effective gains without materializing the channel matrix.
 
@@ -143,18 +62,3 @@ def sample_gains_direct(k_users: int, m_antennas: int, rng: RngStream) -> Effect
         raise ValueError(f"need at least 1 antenna, got {m_antennas}")
     e = bits_to_exponential(rng.raw(m_antennas + k_users - 1))
     return _gains(e[:m_antennas].sum(), e[m_antennas:])
-
-
-def select_unicast_user(h: np.ndarray) -> int:
-    """Index of the user with the largest squared channel norm.
-
-    Ties break toward the lowest index.  Scheduling the strongest user for
-    unicasting guarantees z1 >= u for every realization (the projection of
-    any other row cannot exceed that row's norm, which in turn cannot
-    exceed the selected row's norm).
-    """
-    h = np.asarray(h)
-    if h.shape[0] < 2:
-        raise ValueError("need at least 2 users to schedule")
-    norms = (h.real**2 + h.imag**2).sum(axis=1)
-    return int(np.argmax(norms))

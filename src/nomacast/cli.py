@@ -26,8 +26,7 @@ from .analysis import (AnalysisParams, UnsupportedAnalyticsError, chebyshev_rule
                        multicast_outage_prob, secrecy_outage_prob,
                        unicast_outage_prob)
 from .channel import BEAMFORMER_KINDS, MRT
-from .montecarlo import (DIRECT_GAINS, FULL_MATRIX, MetricKind, SimulationPlan,
-                         estimate_many)
+from .montecarlo import MetricKind, SimulationPlan, estimate_many
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -80,6 +79,8 @@ class Scenario:
             raise ScenarioError(f"invalid node count {self.na}")
         if self.oma_beamformer not in BEAMFORMER_KINDS:
             raise ScenarioError(f"unknown OMA beamformer {self.oma_beamformer!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ScenarioError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.metrics:
             raise ScenarioError("no metrics requested")
         return self
@@ -250,10 +251,8 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     if run_mc and scenario.samples < 1:
         raise ScenarioError("Monte Carlo requested with samples < 1")
 
-    sampling = (DIRECT_GAINS if not scenario.scheduling
-                and scenario.oma_beamformer == MRT else FULL_MATRIX)
-    plan = (SimulationPlan(scenario.samples, scenario.seed, sampling,
-                           scenario.scheduling, scenario.oma_beamformer, workers)
+    plan = (SimulationPlan(scenario.samples, scenario.seed, scenario.scheduling,
+                           scenario.oma_beamformer, workers)
             if run_mc else None)
 
     report = ComparisonReport(scenario)
@@ -456,6 +455,9 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OverflowError as exc:
+        print(f"config error: a numeric input is out of range ({exc})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     summary = "\n\n".join(r.render() for r in reports)

@@ -6,10 +6,8 @@ of the index range and any worker count.  Chunks are reduced to running
 moments and combined in index order; workers only parallelize chunk
 evaluation.
 
-Two sampling modes: ``direct_gains`` draws the effective gains from their
-known distributions (fast; valid only for MRT toward the unicast user
-without scheduling) and ``full_matrix`` materializes the channel matrices
-(needed for scheduling and for non-MRT OMA beamformers).
+Every plan draws the effective gains from their exact joint law, without
+building a channel matrix (see :func:`_sample_gains`).
 """
 
 from __future__ import annotations
@@ -22,13 +20,10 @@ from enum import Enum
 import numpy as np
 
 from . import transmission as tx
-from .channel import EQUAL_GAIN, MRT, RANDOM, channels_from_normals
-from .rng import (DOMAIN_DIRECT_GAINS, DOMAIN_FULL_MATRIX, bits_to_exponential,
-                  bits_to_normal, window_bits)
+from .channel import EQUAL_GAIN, MRT, RANDOM
+from .rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, bits_to_exponential,
+                  bits_to_uniform, window_bits)
 from .transmission import RATE_EQ_GUARD, LinkConfig
-
-FULL_MATRIX = "full_matrix"
-DIRECT_GAINS = "direct_gains"
 
 _CHUNK = 1 << 16
 _Z95 = 1.959963984540054
@@ -87,7 +82,6 @@ class SimulationPlan:
 
     samples: int
     seed: int
-    mode: str = DIRECT_GAINS
     scheduling: bool = False
     oma_beamformer: str = MRT
     workers: int = 1
@@ -95,15 +89,10 @@ class SimulationPlan:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
-        if self.mode not in (FULL_MATRIX, DIRECT_GAINS):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.oma_beamformer not in (MRT, EQUAL_GAIN, RANDOM):
             raise ValueError(f"unknown OMA beamformer {self.oma_beamformer!r}")
-        if self.scheduling and self.mode != FULL_MATRIX:
-            raise ValueError("scheduling requires full_matrix sampling")
-        if self.mode == DIRECT_GAINS and self.oma_beamformer != MRT:
-            raise ValueError("direct_gains sampling is only valid with the MRT "
-                             "OMA beamformer")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
 
@@ -132,43 +121,51 @@ class SecrecyComparison:
     mean_gap: Estimate
 
 
-def _chunk_moments(args):
-    """Per-realization outcomes for window indices [lo, hi), reduced to moments."""
-    cfg, m, k, plan, base, lo, hi = args
-    n = hi - lo
-    if plan.mode == DIRECT_GAINS:
-        bits = window_bits(plan.seed, DOMAIN_DIRECT_GAINS, base + lo, n, m + k - 1)
-        e = bits_to_exponential(bits)
-        z1 = e[:, :m].sum(axis=1)
-        others = e[:, m:]
-        z1_oma, others_oma = z1, others
-    else:
-        width = 2 * k * m + (2 * m if plan.oma_beamformer == RANDOM else 0)
-        bits = window_bits(plan.seed, DOMAIN_FULL_MATRIX, base + lo, n, width)
-        g = bits_to_normal(bits[:, :2 * k * m])
-        h = channels_from_normals(g, k, m)
-        norms = (h.real**2 + h.imag**2).sum(axis=2)
-        rows = np.arange(n)
-        sel = norms.argmax(axis=1) if plan.scheduling else np.zeros(n, dtype=np.intp)
-        h_sel = h[rows, sel]
-        z1 = norms[rows, sel]
-        proj = np.abs(np.einsum("rkm,rm->rk", h, h_sel.conj())) ** 2 / z1[:, None]
-        keep = np.ones((n, k), dtype=bool)
-        keep[rows, sel] = False
-        others = proj[keep].reshape(n, k - 1)
-        if plan.oma_beamformer == MRT:
-            z1_oma, others_oma = z1, others
-        else:
-            if plan.oma_beamformer == EQUAL_GAIN:
-                p_bf = np.full((n, m), 1.0 / math.sqrt(m), dtype=np.complex128)
-            else:
-                gp = bits_to_normal(bits[:, 2 * k * m:])
-                p_bf = gp[:, 0::2] + 1j * gp[:, 1::2]
-                p_bf /= np.linalg.norm(p_bf, axis=1, keepdims=True)
-            proj_o = np.abs(np.einsum("rkm,rm->rk", h, p_bf)) ** 2
-            z1_oma = proj_o[rows, sel]
-            others_oma = proj_o[keep].reshape(n, k - 1)
+def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
+    """(z1, others, z1_oma, others_oma) for windows [first, first + n).
 
+    A CN(0, I_M) row is its Gamma(M) squared norm times an isotropic
+    direction, and scheduling sees only norms.  In the basis (MRT beam, OMA
+    beam's part orthogonal to it, rest) a user's squared coordinates are a,
+    b ~ Exp(1) and a Gamma(M-2) remainder with a uniform relative phase; the
+    unicast user's a is its OMA gain, so |c|^2 = a_sel / z1 ~ Beta(1, M-1)
+    for an equal-gain or random beam alike.  With M = 1 every beam is MRT.
+    Window layouts: unscheduled MRT, z1's m exponentials then the others';
+    scheduled, m rows of k exponentials (a, b, remainders) then k phases;
+    otherwise z1's m exponentials, the others' a and b, then k - 1 phases.
+    """
+    mrt = plan.oma_beamformer == MRT or m == 1
+    if not plan.scheduling and mrt:
+        e = bits_to_exponential(
+            window_bits(plan.seed, DOMAIN_DIRECT_GAINS, first, n, m + k - 1))
+        z1, others = e[:, :m].sum(axis=1), e[:, m:]
+        return z1, others, z1, others
+    if plan.scheduling:
+        bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, k * m + (0 if mrt else k))
+        e = bits_to_exponential(bits[:, :k * m]).reshape(n, m, k)
+        norms = np.einsum("rmk->rk", e)
+        sel = np.arange(k) == norms.argmax(axis=1)[:, None]
+        z1, a_sel = norms[sel], e[:, 0][sel]
+        others = e[:, 0][~sel].reshape(n, k - 1)
+        if mrt:
+            return z1, others, z1, others
+        b = e[:, 1][~sel].reshape(n, k - 1)
+        phase = bits_to_uniform(bits[:, k * m:][~sel]).reshape(n, k - 1)
+    else:
+        bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, m + 3 * (k - 1))
+        e = bits_to_exponential(bits[:, :m + 2 * (k - 1)])
+        z1, a_sel = e[:, :m].sum(axis=1), e[:, 0]
+        others, b = e[:, m:m + k - 1], e[:, m + k - 1:]
+        phase = bits_to_uniform(bits[:, m + 2 * (k - 1):])
+    # |c x + s y|^2 with |x|^2 = a, |y|^2 = b, |s|^2 = 1 - |c|^2
+    c2 = (a_sel / z1)[:, None]
+    x, y = np.sqrt(c2 * others), np.sqrt((1.0 - c2) * b)
+    others_oma = x * x + y * y + 2.0 * x * y * np.cos(2.0 * np.pi * phase)
+    return z1, others, a_sel, others_oma
+
+
+def _gain_moments(cfg: LinkConfig, z1, others, z1_oma, others_oma):
+    """Per-realization outcomes of a batch of gains, reduced to moments."""
     u = others.min(axis=1)
     v = others.max(axis=1)
     thr = cfg.eps_m / cfg.rho
@@ -204,7 +201,13 @@ def _chunk_moments(args):
         x = fields[name].astype(np.float64, copy=False)
         sums[i] = x.sum()
         sumsqs[i] = (x * x).sum()
-    return n, sums, sumsqs
+    return len(z1), sums, sumsqs
+
+
+def _chunk_moments(args):
+    """Moments of the realizations in window indices [lo, hi)."""
+    cfg, m, k, plan, base, lo, hi = args
+    return _gain_moments(cfg, *_sample_gains(m, k, plan, base + lo, hi - lo))
 
 
 def _run_moments(cfg: LinkConfig, system, plan: SimulationPlan, base: int):
@@ -221,14 +224,10 @@ def _run_moments(cfg: LinkConfig, system, plan: SimulationPlan, base: int):
             results = list(pool.map(_chunk_moments, chunks, chunksize=1))
     else:
         results = [_chunk_moments(c) for c in chunks]
-    total = 0
-    sums = np.zeros(len(_FIELDS))
-    sumsqs = np.zeros(len(_FIELDS))
-    for n, s, ss in results:  # fixed chunk order keeps the reduction exact
-        total += n
-        sums += s
-        sumsqs += ss
-    return total, dict(zip(_FIELDS, sums)), dict(zip(_FIELDS, sumsqs))
+    ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
+    zero = np.zeros(len(_FIELDS))
+    return (sum(ns), dict(zip(_FIELDS, sum(sums, zero))),
+            dict(zip(_FIELDS, sum(sumsqs, zero))))
 
 
 def _moment_estimate(n: int, s: float, ssq: float, probability: bool) -> Estimate:
@@ -268,7 +267,7 @@ def estimate(metric: MetricKind, cfg: LinkConfig, system,
              plan: SimulationPlan, stream_base: int = 0) -> Estimate:
     """Monte Carlo estimate of one metric.
 
-    Deterministic for fixed (seed, samples, mode, scheduling, beamformer)
+    Deterministic for fixed (seed, samples, scheduling, beamformer)
     regardless of worker count: realization ``i`` always consumes counter
     window ``stream_base + i``.
     """

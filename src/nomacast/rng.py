@@ -24,9 +24,11 @@ _SHIFT11 = np.uint64(11)
 
 # Key domains for the Monte Carlo window streams.  Kept far away from the
 # small stream ids typically used with RngStream so the two layouts never
-# share a Philox key for the same seed.
+# share a Philox key for the same seed.  DOMAIN_DIRECT_GAINS serves
+# unscheduled MRT runs, DOMAIN_GAINS every other plan; (1 << 32) + 1 keys
+# the tests' channel-matrix oracle, which must stay independent of both.
 DOMAIN_DIRECT_GAINS = 1 << 32
-DOMAIN_FULL_MATRIX = (1 << 32) + 1
+DOMAIN_GAINS = (1 << 32) + 2
 
 
 def bits_to_uniform(bits: np.ndarray) -> np.ndarray:

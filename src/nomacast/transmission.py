@@ -18,6 +18,7 @@ the SNR threshold 2^R - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class LinkConfig:
     r_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("rho", "r_m", "r_u", "r_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not self.r_m > 0:

@@ -22,7 +22,7 @@ from nomacast.analysis import (AnalysisParams, adaptive_integrate,
                                joint_minmax_pdf, noma_rate_advantage,
                                noma_shortfall_bound, secrecy_outage_prob,
                                unicast_outage_prob)
-from nomacast.montecarlo import (FULL_MATRIX, MetricKind, SimulationPlan,
+from nomacast.montecarlo import (MetricKind, SimulationPlan,
                                  compare_secrecy_rates, estimate, estimate_many,
                                  scheduling_check, sweep)
 from nomacast.rng import DOMAIN_DIRECT_GAINS, RngStream, bits_to_exponential, window_bits
@@ -235,8 +235,8 @@ def test_c10_scheduling_widens_secrecy_rate_gap():
     cfg = LinkConfig(100.0, r_m=1.0, r_u=6.0, r_s=2.0)
     gaps = {}
     for scheduling in (False, True):
-        plan = SimulationPlan(1_000_000, seed=1010, mode=FULL_MATRIX,
-                              scheduling=scheduling, workers=2)
+        plan = SimulationPlan(1_000_000, seed=1010, scheduling=scheduling,
+                              workers=2)
         got = estimate_many((MetricKind.OUTAGE_RATE_SECRECY,
                              MetricKind.OUTAGE_RATE_SECRECY_OMA), cfg, (10, 11),
                             plan)
@@ -311,8 +311,7 @@ def test_c11_quadrature_against_adaptive_oracle():
 def test_c12_scheduling_gain_dominance_exact():
     """With the strongest user scheduled, z1 >= u on every realization."""
     cfg = LinkConfig(100.0, r_m=1.0, r_u=6.0, r_s=2.0)
-    plan = SimulationPlan(1_000_000, seed=1012, mode=FULL_MATRIX, scheduling=True,
-                          workers=2)
+    plan = SimulationPlan(1_000_000, seed=1012, scheduling=True, workers=2)
     frac = scheduling_check(cfg, (2, 11), plan)
     ok = frac.value == 1.0
     assert _report(12, ok, f"z1 >= u on fraction {frac.value:.7f} of 10^6 draws "

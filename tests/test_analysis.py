@@ -48,6 +48,15 @@ def test_incomplete_gamma_complementarity():
                            atol=1e-300)
 
 
+def test_regularized_gamma_large_shape_stays_finite():
+    """Shapes above 100 overflow the series at large x; those entries fall back."""
+    from nomacast.analysis import _upper_reg
+    x = np.array([0.5, 250.0, 300.0, 2e3, 1e4, 1e6])
+    got = _upper_reg(300, x)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, special.gammaincc(300, x), rtol=1e-10, atol=1e-300)
+
+
 def test_incomplete_gamma_rejects_bad_args():
     with pytest.raises(ValueError):
         incomplete_gamma_int(0, 1.0)

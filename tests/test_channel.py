@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nomacast.channel import (EQUAL_GAIN, MRT, RANDOM, effective_gains,
-                              make_beamformer, sample_channel,
-                              sample_gains_direct, select_unicast_user)
+from full_matrix_oracle import (effective_gains, make_beamformer, sample_channel,
+                                select_unicast_user)
+from nomacast.channel import EQUAL_GAIN, MRT, RANDOM, sample_gains_direct
 from nomacast.rng import RngStream
 
 N_STAT = 100_000

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
@@ -204,3 +207,55 @@ def test_report_render_mentions_fail():
     report.verdicts.append("FAIL")
     text = report.render()
     assert "FAIL" in text and not report.all_pass
+
+
+@pytest.mark.parametrize("override", [["--r-u", "2000"], ["--snr", "4000"]],
+                         ids=["r_u_2000", "snr_4000"])
+def test_main_overflowing_input_is_a_config_error(tmp_path, capsys, override):
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--out", str(tmp_path),
+                 *override])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_main_large_antenna_count_analytic(tmp_path):
+    """k^-m is computed in floating point, so M = 300 no longer overflows."""
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--m", "300",
+                 "--snr", "0,20,40", "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_csv(tmp_path / "fig1_unicast_outage.csv")
+    assert len(rows) == 3 and all(math.isfinite(r["value"]) for r in rows)
+    assert rows[0]["value"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("override,name", [
+    (["--r-s", "nan"], "r_s"), (["--r-m", "inf"], "r_m"), (["--snr", "inf"], "rho")],
+    ids=["r_s_nan", "r_m_inf", "snr_inf"])
+def test_main_non_finite_input_is_a_config_error(tmp_path, capsys, override, name):
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--out", str(tmp_path),
+                 *override])
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, (1 << 64) + 5])
+def test_main_seed_out_of_range_is_a_config_error(tmp_path, capsys, seed):
+    code = main(["--scenario", "fig1", "--mode", "mc", "--samples", "100",
+                 "--seed", str(seed), "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    with pytest.raises(ScenarioError):
+        _tiny(seed=seed).validate()
+    _tiny(seed=(1 << 64) - 1).validate()
+
+
+def test_fig3_equal_and_random_beams_write_identical_rows(tmp_path):
+    """Both non-MRT OMA beams sample the same gain distribution, draw for draw."""
+    equal, random = (next(s for s in PRESETS["fig3"] if s.oma_beamformer == kind)
+                     for kind in ("equal", "random"))
+    tiny = dict(samples=3000, snr_grid_db=(16.0, 24.0))
+    _, paths_e = run_scenario(replace(equal, **tiny), out_dir=tmp_path, mode="mc")
+    _, paths_r = run_scenario(replace(random, **tiny), out_dir=tmp_path, mode="mc")
+    assert [p.name.replace("equal", "random") for p in paths_e] == [p.name for p in paths_r]
+    for pe, pr in zip(paths_e, paths_r):
+        assert pe.read_bytes() == pr.read_bytes()

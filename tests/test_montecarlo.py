@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nomacast.channel import (EQUAL_GAIN, MRT, RANDOM, Beamformer,
-                              channels_from_normals, effective_gains,
-                              make_beamformer, select_unicast_user)
-from nomacast.montecarlo import (DIRECT_GAINS, FULL_MATRIX, MetricKind,
-                                 SimulationPlan, _chunk_moments, _FIELDS,
+from full_matrix_oracle import full_matrix_gains
+from nomacast.channel import EQUAL_GAIN, MRT, RANDOM, EffectiveGains
+from nomacast.montecarlo import (MetricKind, SimulationPlan, _chunk_moments,
+                                 _FIELDS, _gain_moments, _metric_estimate,
                                  compare_secrecy_rates, estimate, estimate_many,
                                  scheduling_check, sweep)
-from nomacast.rng import (DOMAIN_FULL_MATRIX, bits_to_normal, window_bits)
+from nomacast.rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, bits_to_exponential,
+                          bits_to_uniform, window_bits)
 from nomacast.transmission import (LinkConfig, evaluate_link, RATE_EQ_GUARD)
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
@@ -20,13 +20,29 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SimulationPlan(0, 1)
     with pytest.raises(ValueError):
-        SimulationPlan(10, 1, mode="bogus")
-    with pytest.raises(ValueError):
-        SimulationPlan(10, 1, scheduling=True)  # needs full_matrix
-    with pytest.raises(ValueError):
-        SimulationPlan(10, 1, mode=DIRECT_GAINS, oma_beamformer=EQUAL_GAIN)
+        SimulationPlan(10, 1, oma_beamformer="bogus")
+    with pytest.raises(ValueError, match="seed"):
+        SimulationPlan(10, -1)
+    with pytest.raises(ValueError, match="seed"):
+        SimulationPlan(10, 1 << 64)
     with pytest.raises(ValueError):
         SimulationPlan(10, 1, workers=0)
+    # every combination of scheduling and beamformer has a sampler
+    SimulationPlan(10, (1 << 64) - 1, scheduling=True, oma_beamformer=EQUAL_GAIN)
+
+
+def test_unscheduled_mrt_estimates_pinned():
+    """Unscheduled MRT keeps the direct-gain window layout, value for value."""
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.SECRECY_OUTAGE,
+               MetricKind.MEAN_OMA_SECRECY_RATE)
+    got = estimate_many(metrics, CFG, (10, 11), SimulationPlan(70_000, seed=2024),
+                        stream_base=3)
+    assert got[MetricKind.UNICAST_OUTAGE].value == 0.32977142857142855
+    assert got[MetricKind.UNICAST_OUTAGE].stderr == 0.0017769371360171296
+    assert got[MetricKind.SECRECY_OUTAGE].value == 0.7081285714285714
+    assert got[MetricKind.SECRECY_OUTAGE].stderr == 0.0017183274692244596
+    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].value == 0.7071000729035575
+    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].stderr == 0.002210008797216999
 
 
 def test_estimate_deterministic_and_worker_independent():
@@ -62,14 +78,40 @@ def test_unicast_outage_certain_at_tiny_snr():
     assert est.value == 1.0
 
 
+def _oracle_estimates(metrics, cfg, m, k, plan):
+    """Estimates from the channel-matrix oracle's gains through the same kernel."""
+    gains = full_matrix_gains(m, k, plan.scheduling, plan.oma_beamformer,
+                              plan.seed, plan.samples)
+    n, sums, sumsqs = _gain_moments(cfg, *gains)
+    sums, sumsqs = dict(zip(_FIELDS, sums)), dict(zip(_FIELDS, sumsqs))
+    return {metric: _metric_estimate(metric, cfg, n, sums, sumsqs)
+            for metric in metrics}
+
+
 def test_full_and_direct_modes_agree():
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_NOMA_SECRECY_RATE)
-    direct = estimate_many(metrics, CFG, (3, 6), SimulationPlan(100_000, seed=5))
-    full = estimate_many(metrics, CFG, (3, 6),
-                         SimulationPlan(100_000, seed=5, mode=FULL_MATRIX))
+    plan = SimulationPlan(100_000, seed=5)
+    direct = estimate_many(metrics, CFG, (3, 6), plan)
+    full = _oracle_estimates(metrics, CFG, 3, 6, plan)
     for m in metrics:
         combined = math.hypot(direct[m].stderr, full[m].stderr)
         assert abs(direct[m].value - full[m].value) <= 3 * combined
+
+
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(100_000, seed=51, scheduling=True),
+    SimulationPlan(100_000, seed=52, oma_beamformer=EQUAL_GAIN),
+    SimulationPlan(100_000, seed=53, scheduling=True, oma_beamformer=RANDOM),
+], ids=["sched", "equal", "sched_random"])
+def test_metrics_match_full_matrix_oracle(plan):
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.UNICAST_OUTAGE_OMA,
+               MetricKind.SECRECY_OUTAGE_OMA, MetricKind.MEAN_OMA_SECRECY_RATE,
+               MetricKind.NOMA_TRAILS_OMA)
+    engine = estimate_many(metrics, CFG, (3, 6), plan)
+    oracle = _oracle_estimates(metrics, CFG, 3, 6, plan)
+    for m in metrics:
+        combined = math.hypot(engine[m].stderr, oracle[m].stderr)
+        assert abs(engine[m].value - oracle[m].value) <= 4 * combined, m
 
 
 def test_stderr_scales_with_samples():
@@ -124,12 +166,12 @@ def test_sweep_rejects_empty_grid():
 
 
 def test_scheduling_invariant_holds():
-    plan = SimulationPlan(20_000, seed=12, mode=FULL_MATRIX, scheduling=True)
+    plan = SimulationPlan(20_000, seed=12, scheduling=True)
     assert scheduling_check(CFG, (3, 5), plan).value == 1.0
 
 
 def test_no_scheduling_sometimes_trails():
-    plan = SimulationPlan(20_000, seed=13, mode=FULL_MATRIX)
+    plan = SimulationPlan(20_000, seed=13)
     assert scheduling_check(CFG, (3, 5), plan).value < 1.0
 
 
@@ -148,39 +190,55 @@ def test_secrecy_comparison_gap_nonnegative_at_high_snr():
         assert cmp.mean_gap.value >= -3 * cmp.mean_gap.stderr
 
 
+def _decode_window(words, m, k, plan):
+    """Gains of one realization from its raw window, one user at a time."""
+    mrt = plan.oma_beamformer == MRT or m == 1
+    if not plan.scheduling and mrt:
+        e = bits_to_exponential(words)
+        g = EffectiveGains(float(e[:m].sum()), e[m:], float(e[m:].min()),
+                           float(e[m:].max()))
+        return g, g
+    if plan.scheduling:  # word i*k + j is term i of user j, then k phases
+        e = bits_to_exponential(words[:k * m])
+        users = [e[j:k * m:k] for j in range(k)]
+        sel = max(range(k), key=lambda j: (float(users[j].sum()), -j))
+        rest = [j for j in range(k) if j != sel]
+        z1, a_sel = float(users[sel].sum()), float(users[sel][0])
+        a = np.array([users[j][0] for j in rest])
+        b = np.array([users[j][1] if m > 1 else 0.0 for j in rest])
+        phase = (bits_to_uniform(words[k * m:])[rest] if not mrt else None)
+    else:  # unicast user's m words, then a, b and phase of the k-1 others
+        e = bits_to_exponential(words[:m + 2 * (k - 1)])
+        z1, a_sel = float(e[:m].sum()), float(e[0])
+        a, b = e[m:m + k - 1], e[m + k - 1:]
+        phase = bits_to_uniform(words[m + 2 * (k - 1):])
+    g = EffectiveGains(z1, a, float(a.min()), float(a.max()))
+    if mrt:
+        return g, g
+    c2 = a_sel / z1
+    # OMA beam = c * (MRT direction) + s * (orthogonal direction)
+    z = (math.sqrt(c2) * np.sqrt(a) * np.exp(2j * np.pi * phase)
+         + math.sqrt(1.0 - c2) * np.sqrt(b))
+    others_oma = np.abs(z) ** 2
+    g_oma = EffectiveGains(a_sel, others_oma, float(others_oma.min()),
+                           float(others_oma.max()))
+    return g, g_oma
+
+
 def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
     """Recompute chunk moments realization by realization via the public API."""
     n = hi - lo
-    if plan.mode == DIRECT_GAINS:
-        from nomacast.rng import DOMAIN_DIRECT_GAINS, bits_to_exponential
+    mrt = plan.oma_beamformer == MRT or m == 1
+    if not plan.scheduling and mrt:
         bits = window_bits(plan.seed, DOMAIN_DIRECT_GAINS, lo, n, m + k - 1)
+    elif plan.scheduling:
+        bits = window_bits(plan.seed, DOMAIN_GAINS, lo, n, k * m + (0 if mrt else k))
     else:
-        width = 2 * k * m + (2 * m if plan.oma_beamformer == RANDOM else 0)
-        bits = window_bits(plan.seed, DOMAIN_FULL_MATRIX, lo, n, width)
+        bits = window_bits(plan.seed, DOMAIN_GAINS, lo, n, m + 3 * (k - 1))
     sums = np.zeros(len(_FIELDS))
     sumsqs = np.zeros(len(_FIELDS))
     for i in range(n):
-        if plan.mode == DIRECT_GAINS:
-            from nomacast.rng import bits_to_exponential
-            e = bits_to_exponential(bits[i])
-            from nomacast.channel import EffectiveGains
-            others = e[m:]
-            g = EffectiveGains(float(e[:m].sum()), others, float(others.min()),
-                               float(others.max()))
-            g_oma = g
-        else:
-            h = channels_from_normals(bits_to_normal(bits[i, :2 * k * m]), k, m)
-            sel = select_unicast_user(h) if plan.scheduling else 0
-            g = effective_gains(h, make_beamformer(h, sel, MRT), sel)
-            if plan.oma_beamformer == MRT:
-                g_oma = g
-            elif plan.oma_beamformer == EQUAL_GAIN:
-                g_oma = effective_gains(h, make_beamformer(h, sel, EQUAL_GAIN), sel)
-            else:
-                gp = bits_to_normal(bits[i, 2 * k * m:])
-                w = gp[0::2] + 1j * gp[1::2]
-                g_oma = effective_gains(h, Beamformer(w / np.linalg.norm(w), RANDOM),
-                                        sel)
+        g, g_oma = _decode_window(bits[i], m, k, plan)
         out = evaluate_link(g, cfg, g_oma)
         gap = out.noma_secrecy - out.oma_secrecy
         row = {
@@ -207,11 +265,10 @@ def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
 
 @pytest.mark.parametrize("plan", [
     SimulationPlan(150, seed=21),
-    SimulationPlan(150, seed=22, mode=FULL_MATRIX),
-    SimulationPlan(150, seed=23, mode=FULL_MATRIX, scheduling=True),
-    SimulationPlan(150, seed=24, mode=FULL_MATRIX, oma_beamformer=EQUAL_GAIN),
-    SimulationPlan(150, seed=25, mode=FULL_MATRIX, oma_beamformer=RANDOM,
-                   scheduling=True),
+    SimulationPlan(150, seed=22),
+    SimulationPlan(150, seed=23, scheduling=True),
+    SimulationPlan(150, seed=24, oma_beamformer=EQUAL_GAIN),
+    SimulationPlan(150, seed=25, oma_beamformer=RANDOM, scheduling=True),
 ])
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the scalar per-realization semantics."""

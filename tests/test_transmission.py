@@ -28,6 +28,10 @@ def test_link_config_thresholds():
     dict(rho=1.0, r_m=0.0, r_u=1.0),
     dict(rho=1.0, r_m=1.0, r_u=0.0),
     dict(rho=1.0, r_m=1.0, r_u=1.0, r_s=-0.5),
+    dict(rho=float("inf"), r_m=1.0, r_u=1.0),
+    dict(rho=1.0, r_m=float("nan"), r_u=1.0),
+    dict(rho=1.0, r_m=1.0, r_u=float("inf")),
+    dict(rho=1.0, r_m=1.0, r_u=1.0, r_s=float("nan")),
 ])
 def test_link_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
