@@ -330,19 +330,6 @@ def noma_rate_advantage(u: float, x, p: AnalysisParams):
     return float(adv) if adv.ndim == 0 else adv
 
 
-def minmax_expansion_coeffs(k: int) -> np.ndarray:
-    """Alternating expansion coefficients of the joint min/max density.
-
-    tau_m = (k-1)(k-2) C(k-3, m) (-1)^m for m = 0..k-3; the expansion
-    sum_m tau_m exp(-(k-2-m)u) exp(-(m+1)v) equals joint_minmax_pdf(u, v, k).
-    """
-    if k < 3:
-        raise UnsupportedAnalyticsError(f"joint min/max analytics need K >= 3, got {k}")
-    m = np.arange(k - 2)
-    from scipy.special import comb
-    return (k - 1) * (k - 2) * comb(k - 3, m) * (-1.0) ** m
-
-
 def joint_minmax_pdf(u, v, k: int):
     """Joint density of the min and max of k-1 unit exponentials on u <= v."""
     if k < 3:

@@ -25,8 +25,7 @@ import numpy as np
 from .analysis import (AnalysisParams, UnsupportedAnalyticsError, chebyshev_rule,
                        multicast_outage_prob, secrecy_outage_prob,
                        unicast_outage_prob)
-from .channel import BEAMFORMER_KINDS, MRT
-from .montecarlo import MetricKind, SimulationPlan, estimate_many
+from .montecarlo import BEAMFORMER_KINDS, MRT, MetricKind, SimulationPlan, estimate_many
 from .transmission import LinkConfig
 
 EXIT_OK = 0

@@ -20,13 +20,19 @@ from enum import Enum
 import numpy as np
 
 from . import transmission as tx
-from .channel import EQUAL_GAIN, MRT, RANDOM
 from .rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, bits_to_exponential,
                   bits_to_uniform, window_bits)
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
 _CHUNK = 1 << 16
 _Z95 = 1.959963984540054
+
+# OMA beamformer kinds: maximum ratio transmission toward the unicast user,
+# the uniform (equal-gain) vector, or an isotropic random unit vector.
+MRT = "mrt"
+EQUAL_GAIN = "equal"
+RANDOM = "random"
+BEAMFORMER_KINDS = (MRT, EQUAL_GAIN, RANDOM)
 
 
 class MetricKind(Enum):
@@ -91,7 +97,7 @@ class SimulationPlan:
             raise ValueError(f"need at least one sample, got {self.samples}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.oma_beamformer not in (MRT, EQUAL_GAIN, RANDOM):
+        if self.oma_beamformer not in BEAMFORMER_KINDS:
             raise ValueError(f"unknown OMA beamformer {self.oma_beamformer!r}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
@@ -168,9 +174,10 @@ def _gain_moments(cfg: LinkConfig, z1, others, z1_oma, others_oma):
     """Per-realization outcomes of a batch of gains, reduced to moments."""
     u = others.min(axis=1)
     v = others.max(axis=1)
+    gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
     thr = cfg.eps_m / cfg.rho
-    alpha_u2 = tx.power_fraction(z1, others, cfg)
-    gamma = tx.time_fraction(z1_oma, others_oma, cfg)
+    alpha_u2 = tx.power_fraction(gmin, cfg)
+    gamma = tx.time_fraction(np.minimum(z1_oma, others_oma.min(axis=1)), cfg)
 
     r1_noma = tx.noma_rate(z1, alpha_u2, cfg)
     eaves_noma = tx.noma_rate(v, alpha_u2, cfg)  # rates increase with gain
@@ -181,7 +188,7 @@ def _gain_moments(cfg: LinkConfig, z1, others, z1_oma, others_oma):
     gap = rs_noma - rs_oma
 
     fields = {
-        "multicast_outage": np.minimum(z1, u) < thr,
+        "multicast_outage": gmin < thr,
         "noma_unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
         "oma_unicast_outage": r1_oma < cfg.r_u,
         "noma_secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 < cfg.eps_s / cfg.rho,

@@ -3,7 +3,8 @@
 Two layouts share the same generator family:
 
 * :class:`RngStream` gives an independent stream per ``(seed, stream_id)``
-  pair, used by the single-realization sampling API.
+  pair, for draws outside the Monte Carlo engine (the tests and their
+  oracles use it).
 * :func:`window_bits` carves one keyed stream into fixed-width counter
   windows, one window per Monte Carlo realization.  Realization ``i``
   always consumes the same counter range, so any chunking of a run across
@@ -29,6 +30,12 @@ _SHIFT11 = np.uint64(11)
 # the tests' channel-matrix oracle, which must stay independent of both.
 DOMAIN_DIRECT_GAINS = 1 << 32
 DOMAIN_GAINS = (1 << 32) + 2
+
+
+def _key(seed: int, word: int) -> np.ndarray:
+    """Philox key as an explicit uint64 array: numpy turns a list holding an
+    int >= 2**63 into float64, which merges neighbouring keys."""
+    return np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
 
 
 def bits_to_uniform(bits: np.ndarray) -> np.ndarray:
@@ -57,7 +64,7 @@ def window_bits(seed: int, domain: int, first: int, count: int, width: int) -> n
     if width < 1 or count < 0:
         raise ValueError("width must be >= 1 and count >= 0")
     blocks = -(-width // 4)
-    bg = Philox(counter=first * blocks, key=[seed & _MASK64, domain & _MASK64])
+    bg = Philox(counter=first * blocks, key=_key(seed, domain))
     raw = bg.random_raw(count * blocks * 4)
     return raw.reshape(count, blocks * 4)[:, :width]
 
@@ -73,7 +80,10 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._bg = Philox(key=[self.seed & _MASK64, self.stream_id & _MASK64])
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        self._bg = Philox(key=_key(self.seed, self.stream_id))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

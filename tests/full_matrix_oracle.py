@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nomacast.channel import EQUAL_GAIN, MRT, RANDOM, _gains
+from link_oracle import Gains, gains
+from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM
 from nomacast.rng import RngStream, bits_to_normal, window_bits
 
 DOMAIN_FULL_MATRIX = (1 << 32) + 1
@@ -88,7 +89,7 @@ def make_beamformer(h: np.ndarray, unicast_index: int, kind: str = MRT,
     raise ValueError(f"unknown beamformer kind {kind!r}")
 
 
-def effective_gains(h: np.ndarray, w: Beamformer, unicast_index: int) -> EffectiveGains:
+def effective_gains(h: np.ndarray, w: Beamformer, unicast_index: int) -> Gains:
     """Project the channel rows onto the beamformer: z_k = |h_k . w|^2.
 
     For an MRT beamformer matched to ``unicast_index`` the unicast gain is
@@ -104,7 +105,7 @@ def effective_gains(h: np.ndarray, w: Beamformer, unicast_index: int) -> Effecti
     else:
         z1 = float(z[unicast_index])
     others = np.delete(z, unicast_index)
-    return _gains(z1, others)
+    return gains(z1, others)
 
 
 def select_unicast_user(h: np.ndarray) -> int:

@@ -83,8 +83,9 @@ def test_c03_multicast_outage_identical_for_noma_and_oma():
         bits = window_bits(1003, DOMAIN_DIRECT_GAINS, lo, hi - lo, m + k - 1)
         e = bits_to_exponential(bits)
         z1, others = e[:, :m].sum(axis=1), e[:, m:]
-        alpha = power_fraction(z1, others, cfg)
-        gamma = time_fraction(z1, others, cfg)
+        gmin = np.minimum(z1, others.min(axis=1))
+        alpha = power_fraction(gmin, cfg)
+        gamma = time_fraction(gmin, cfg)
         mismatches += int(np.count_nonzero((alpha == 0.0) != (gamma == 1.0)))
         outages += int(np.count_nonzero(alpha == 0.0))
     ok = mismatches == 0 and 0 < outages < n

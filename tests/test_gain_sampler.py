@@ -11,8 +11,7 @@ import pytest
 from scipy import stats
 
 from full_matrix_oracle import full_matrix_gains
-from nomacast.channel import EQUAL_GAIN, MRT, RANDOM
-from nomacast.montecarlo import SimulationPlan, _sample_gains
+from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM, SimulationPlan, _sample_gains
 
 N = 100_000
 SEED = 32
@@ -21,6 +20,8 @@ SIGMAS = 4.0
 
 # name -> (M, K, scheduling, OMA beamformer)
 CASES = {
+    "fig1": (10, 11, False, MRT),
+    "m1_mrt": (1, 2, False, MRT),
     "fig2_sched": (2, 11, True, MRT),
     "fig3_random": (10, 11, False, RANDOM),
     "fig3_equal": (10, 11, False, EQUAL_GAIN),

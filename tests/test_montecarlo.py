@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
-from nomacast.channel import EQUAL_GAIN, MRT, RANDOM, EffectiveGains
-from nomacast.montecarlo import (MetricKind, SimulationPlan, _chunk_moments,
-                                 _FIELDS, _gain_moments, _metric_estimate,
-                                 compare_secrecy_rates, estimate, estimate_many,
-                                 scheduling_check, sweep)
-from nomacast.rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, bits_to_exponential,
-                          bits_to_uniform, window_bits)
-from nomacast.transmission import (LinkConfig, evaluate_link, RATE_EQ_GUARD)
+from link_oracle import evaluate_link, gains
+from nomacast.montecarlo import (EQUAL_GAIN, MRT, RANDOM, MetricKind, SimulationPlan,
+                                 _chunk_moments, _FIELDS, _gain_moments,
+                                 _metric_estimate, compare_secrecy_rates, estimate,
+                                 estimate_many, scheduling_check, sweep)
+from nomacast.rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, RngStream,
+                          bits_to_exponential, bits_to_uniform, window_bits)
+from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
 
@@ -195,8 +197,7 @@ def _decode_window(words, m, k, plan):
     mrt = plan.oma_beamformer == MRT or m == 1
     if not plan.scheduling and mrt:
         e = bits_to_exponential(words)
-        g = EffectiveGains(float(e[:m].sum()), e[m:], float(e[m:].min()),
-                           float(e[m:].max()))
+        g = gains(e[:m].sum(), e[m:])
         return g, g
     if plan.scheduling:  # word i*k + j is term i of user j, then k phases
         e = bits_to_exponential(words[:k * m])
@@ -212,21 +213,18 @@ def _decode_window(words, m, k, plan):
         z1, a_sel = float(e[:m].sum()), float(e[0])
         a, b = e[m:m + k - 1], e[m + k - 1:]
         phase = bits_to_uniform(words[m + 2 * (k - 1):])
-    g = EffectiveGains(z1, a, float(a.min()), float(a.max()))
+    g = gains(z1, a)
     if mrt:
         return g, g
     c2 = a_sel / z1
     # OMA beam = c * (MRT direction) + s * (orthogonal direction)
     z = (math.sqrt(c2) * np.sqrt(a) * np.exp(2j * np.pi * phase)
          + math.sqrt(1.0 - c2) * np.sqrt(b))
-    others_oma = np.abs(z) ** 2
-    g_oma = EffectiveGains(a_sel, others_oma, float(others_oma.min()),
-                           float(others_oma.max()))
-    return g, g_oma
+    return g, gains(a_sel, np.abs(z) ** 2)
 
 
 def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
-    """Recompute chunk moments realization by realization via the public API."""
+    """Recompute chunk moments realization by realization via the link oracle."""
     n = hi - lo
     mrt = plan.oma_beamformer == MRT or m == 1
     if not plan.scheduling and mrt:
@@ -235,10 +233,14 @@ def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
         bits = window_bits(plan.seed, DOMAIN_GAINS, lo, n, k * m + (0 if mrt else k))
     else:
         bits = window_bits(plan.seed, DOMAIN_GAINS, lo, n, m + 3 * (k - 1))
+    return _oracle_moments(cfg, (_decode_window(bits[i], m, k, plan) for i in range(n)))
+
+
+def _oracle_moments(cfg, realizations):
+    """Field sums and sums of squares over (g, g_oma) pairs from the link oracle."""
     sums = np.zeros(len(_FIELDS))
     sumsqs = np.zeros(len(_FIELDS))
-    for i in range(n):
-        g, g_oma = _decode_window(bits[i], m, k, plan)
+    for g, g_oma in realizations:
         out = evaluate_link(g, cfg, g_oma)
         gap = out.noma_secrecy - out.oma_secrecy
         row = {
@@ -271,13 +273,44 @@ def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
     SimulationPlan(150, seed=25, oma_beamformer=RANDOM, scheduling=True),
 ])
 def test_batch_engine_matches_per_realization_api(plan):
-    """The vectorized engine reproduces the scalar per-realization semantics."""
+    """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
     n, sums, sumsqs = _chunk_moments((CFG, m, k, plan, 0, 0, plan.samples))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
     assert np.allclose(sumsqs, ref_sumsqs, rtol=1e-10, atol=1e-12)
+
+
+def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
+    """All K gains i.i.d., so the unicast user's own gain is often the weakest
+    (rare in the window plans above, where z1 ~ Gamma(M))."""
+    z = RngStream(43).exponential((2000, 5)) * 0.5
+    z_oma = RngStream(44).exponential((2000, 5)) * 0.5
+    n, sums, sumsqs = _gain_moments(CFG, z[:, 0], z[:, 1:], z_oma[:, 0], z_oma[:, 1:])
+    ref_sums, ref_sumsqs = _oracle_moments(
+        CFG, ((gains(a[0], a[1:]), gains(b[0], b[1:])) for a, b in zip(z, z_oma)))
+    assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
+    assert np.allclose(sumsqs, ref_sumsqs, rtol=1e-10, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(z1=st.floats(1e-6, 100.0), others=st.lists(st.floats(1e-6, 100.0), min_size=1,
+                                                  max_size=10),
+       snr_db=st.floats(-10.0, 60.0), step_db=st.floats(0.0, 20.0),
+       r_m=st.floats(0.1, 4.0), r_u=st.floats(0.1, 12.0))
+def test_outage_indicators_nonincreasing_in_snr(z1, others, snr_db, step_db, r_m, r_u):
+    """For one realization the multicast and NOMA unicast outage indicators do
+    not increase as rho grows, and 0 <= alpha_U^2 < 1/(1 + eps_m)."""
+    z1, others = np.array([z1]), np.array([others])
+    fields = [_FIELDS.index("multicast_outage"), _FIELDS.index("noma_unicast_outage")]
+    outages = []
+    for db in (snr_db, snr_db + step_db):
+        cfg = LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
+        alpha_u2 = power_fraction(min(z1[0], others.min()), cfg)
+        assert 0.0 <= alpha_u2 < 1.0 / (1.0 + cfg.eps_m)
+        outages.append(_gain_moments(cfg, z1, others, z1, others)[1][fields])
+    assert np.all(outages[1] <= outages[0])
 
 
 def test_rejects_too_few_users():

@@ -80,3 +80,20 @@ def test_complex_normal_unit_variance():
 
 def test_spawn_matches_fresh_stream():
     assert np.array_equal(RngStream(9).spawn(42).raw(8), RngStream(9, 42).raw(8))
+
+
+@pytest.mark.parametrize("args", [(2**64 + 5,), (-1,), (0, -1), (0, 1 << 64)],
+                         ids=["seed_2_64_plus_5", "seed_neg", "stream_neg", "stream_2_64"])
+def test_stream_rejects_out_of_range_keys(args):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        RngStream(*args)
+
+
+def test_keys_at_and_above_2_63_stay_distinct():
+    """Neighbouring keys >= 2**63, up to 2**64 - 1, give different streams and windows."""
+    top = (1 << 64) - 1
+    streams = [RngStream(*key).raw(4) for key in
+               ((top,), (0, top), (top - 1,), (2**63,), (2**63 + 1,))]
+    assert len({tuple(s) for s in streams}) == len(streams)
+    assert not np.array_equal(window_bits(2**63, 1, 0, 1, 4),
+                              window_bits(2**63 + 1, 1, 0, 1, 4))
