@@ -8,7 +8,8 @@ plus a text report comparing analytic and Monte Carlo values wherever both
 exist.
 
 Exit codes: 0 all comparisons pass (or nothing to compare), 1 a comparison
-failed, 2 configuration error, 3 analytics unsupported for the request.
+failed, 2 configuration error, 3 analytics unsupported for the request,
+4 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_COMPARISON_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL_ERROR = 4
 
 CSV_HEADER = ("snr_db", "metric", "method", "value", "stderr", "ci_low", "ci_high")
 
@@ -44,8 +46,6 @@ _PROB_TOL = {
     MetricKind.MULTICAST_OUTAGE: 0.005,
     MetricKind.UNICAST_OUTAGE: 0.005,
     MetricKind.SECRECY_OUTAGE: 0.01,
-    MetricKind.OUTAGE_RATE_UNICAST: 0.005,
-    MetricKind.OUTAGE_RATE_SECRECY: 0.01,
 }
 
 
@@ -89,6 +89,11 @@ _UNICAST_METRICS = (MetricKind.UNICAST_OUTAGE, MetricKind.UNICAST_OUTAGE_OMA,
                     MetricKind.OUTAGE_RATE_UNICAST, MetricKind.OUTAGE_RATE_UNICAST_OMA)
 _SECRECY_METRICS = (MetricKind.SECRECY_OUTAGE, MetricKind.SECRECY_OUTAGE_OMA,
                     MetricKind.OUTAGE_RATE_SECRECY, MetricKind.OUTAGE_RATE_SECRECY_OMA)
+# outage-rate metric -> (its outage-probability metric, target attribute)
+_OUTAGE_RATE_OF = {
+    MetricKind.OUTAGE_RATE_UNICAST: (MetricKind.UNICAST_OUTAGE, "r_u"),
+    MetricKind.OUTAGE_RATE_SECRECY: (MetricKind.SECRECY_OUTAGE, "r_s"),
+}
 
 
 def _presets():
@@ -134,11 +139,10 @@ class ReportRow:
         return abs(self.analytic - self.mc_value)
 
     def tolerance(self, cfg: LinkConfig) -> float:
-        base = _PROB_TOL.get(self.metric, 0.01)
-        if self.metric is MetricKind.OUTAGE_RATE_UNICAST:
-            base *= cfg.r_u
-        elif self.metric is MetricKind.OUTAGE_RATE_SECRECY:
-            base *= cfg.r_s
+        kind, target = _OUTAGE_RATE_OF.get(self.metric, (self.metric, None))
+        base = _PROB_TOL.get(kind, 0.01)
+        if target is not None:
+            base *= getattr(cfg, target)
         return max(base, 3.0 * self.mc_stderr)
 
 
@@ -191,19 +195,18 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m: int, k: int, na: int,
     there; secrecy analytics additionally need K >= 3 (raised as
     UnsupportedAnalyticsError so pure-analytic runs can exit distinctly).
     """
-    if scheduling:
+    kind, target = _OUTAGE_RATE_OF.get(metric, (metric, None))
+    if scheduling or kind not in (MetricKind.MULTICAST_OUTAGE, MetricKind.UNICAST_OUTAGE,
+                                  MetricKind.SECRECY_OUTAGE):
         return None
-    if metric is MetricKind.MULTICAST_OUTAGE:
-        return multicast_outage_prob(AnalysisParams.from_link(m, k, cfg))
-    if metric in (MetricKind.UNICAST_OUTAGE, MetricKind.OUTAGE_RATE_UNICAST):
-        p = unicast_outage_prob(AnalysisParams.from_link(m, k, cfg),
-                                chebyshev_rule(na)).total
-        return p if metric is MetricKind.UNICAST_OUTAGE else (1.0 - p) * cfg.r_u
-    if metric in (MetricKind.SECRECY_OUTAGE, MetricKind.OUTAGE_RATE_SECRECY):
-        p = secrecy_outage_prob(AnalysisParams.from_link(m, k, cfg),
-                                chebyshev_rule(na)).total
-        return p if metric is MetricKind.SECRECY_OUTAGE else (1.0 - p) * cfg.r_s
-    return None
+    params = AnalysisParams.from_link(m, k, cfg)
+    if kind is MetricKind.MULTICAST_OUTAGE:
+        p = multicast_outage_prob(params)
+    elif kind is MetricKind.UNICAST_OUTAGE:
+        p = unicast_outage_prob(params, chebyshev_rule(na)).total
+    else:
+        p = secrecy_outage_prob(params, chebyshev_rule(na)).total
+    return p if target is None else (1.0 - p) * getattr(cfg, target)
 
 
 def emit_csv(rows, path):
@@ -257,22 +260,29 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     report = ComparisonReport(scenario)
     csv_rows = {metric: [] for metric in scenario.metrics}
     analytic_seen = False
-    for idx, snr_db in enumerate(sorted(scenario.snr_grid_db)):
-        cfg = LinkConfig(10.0 ** (snr_db / 10.0), scenario.r_m, scenario.r_u,
-                         scenario.r_s)
-        mc = (estimate_many(scenario.metrics, cfg, (scenario.m, scenario.k), plan,
-                            stream_base=idx * scenario.samples) if run_mc else {})
+    grid = sorted(scenario.snr_grid_db)
+    cfgs = [LinkConfig(10.0 ** (snr_db / 10.0), scenario.r_m, scenario.r_u, scenario.r_s)
+            for snr_db in grid]
+    # every grid point reuses windows [0, samples): one pass, one pool
+    mcs = (estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), plan,
+                         stream_base=0) if run_mc else [{}] * len(cfgs))
+    for snr_db, cfg, mc in zip(grid, cfgs, mcs):
+        closed = {}  # each closed form runs once per point
         for metric in scenario.metrics:
-            analytic = None
-            if run_analytic:
+            kind, target = _OUTAGE_RATE_OF.get(metric, (metric, None))
+            if run_analytic and kind not in closed:
+                closed[kind] = None
                 try:
-                    analytic = analytic_value(metric, cfg, scenario.m, scenario.k,
-                                              scenario.na, scenario.scheduling)
+                    closed[kind] = analytic_value(kind, cfg, scenario.m, scenario.k,
+                                                  scenario.na, scenario.scheduling)
                 except UnsupportedAnalyticsError as exc:
                     if mode == "analytic":
                         raise
                     if str(exc) not in report.notes:
                         report.notes.append(str(exc))
+            analytic = closed.get(kind)
+            if analytic is not None and target is not None:  # (1 - P) * target
+                analytic = (1.0 - analytic) * getattr(cfg, target)
             if analytic is not None:
                 analytic_seen = True
                 csv_rows[metric].append({
@@ -386,21 +396,13 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     updates = {}
     if args.metric:
         updates["metrics"] = parse_metrics(args.metric)
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.snr is not None:
         updates["snr_grid_db"] = parse_snr_grid(args.snr)
-    if args.na is not None:
-        updates["na"] = args.na
     if args.scheduling is not None:
         updates["scheduling"] = _parse_bool(args.scheduling)
-    if args.oma_beamformer is not None:
-        updates["oma_beamformer"] = args.oma_beamformer
-    for dim in ("m", "k", "r_m", "r_u", "r_s"):
-        if getattr(args, dim) is not None:
-            updates[dim] = getattr(args, dim)
+    for key in ("samples", "seed", "na", "oma_beamformer", "m", "k", "r_m", "r_u", "r_s"):
+        if getattr(args, key) is not None:
+            updates[key] = getattr(args, key)
     return replace(scenario, **updates) if updates else scenario
 
 
@@ -446,26 +448,25 @@ def main(argv=None) -> int:
             reports.append(report)
             for p in paths:
                 print(f"wrote {p}")
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        summary = "\n\n".join(r.render() for r in reports)
+        summary_path = Path(args.out) / f"{run_name}_report.txt"
+        summary_path.parent.mkdir(parents=True, exist_ok=True)
+        summary_path.write_text(summary + "\n")
+        print(summary)
+        print(f"wrote {summary_path}")
+        return EXIT_OK if all(r.all_pass for r in reports) else EXIT_COMPARISON_FAIL
     except UnsupportedAnalyticsError as exc:
         print(f"unsupported analytics: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OverflowError as exc:
         print(f"config error: a numeric input is out of range ({exc})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    summary = "\n\n".join(r.render() for r in reports)
-    summary_path = Path(args.out) / f"{run_name}_report.txt"
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text(summary + "\n")
-    print(summary)
-    print(f"wrote {summary_path}")
-    return EXIT_OK if all(r.all_pass for r in reports) else EXIT_COMPARISON_FAIL
+    except Exception as exc:  # a crash must never read as a comparison verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

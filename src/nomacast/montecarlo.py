@@ -3,8 +3,10 @@
 Realization ``i`` of a run always draws from counter window ``base + i``
 (see :mod:`nomacast.rng`), so the estimate is bit-identical for any chunking
 of the index range and any worker count.  Chunks are reduced to running
-moments and combined in index order; workers only parallelize chunk
-evaluation.
+moments and combined in index order; workers (one pool per run) only
+parallelize chunk evaluation.  Gains do not depend on the SNR, so every
+point of a run's SNR grid reuses its windows, drawn and reduced once: point
+estimates stay unbiased but are correlated (common random numbers).
 
 Every plan draws the effective gains from their exact joint law, without
 building a channel matrix (see :func:`_sample_gains`).
@@ -51,12 +53,6 @@ class MetricKind(Enum):
     OUTAGE_RATE_SECRECY = "outage_rate_secrecy"
     OUTAGE_RATE_SECRECY_OMA = "outage_rate_secrecy_oma"
 
-
-_PROBABILITY_METRICS = {
-    MetricKind.MULTICAST_OUTAGE, MetricKind.UNICAST_OUTAGE,
-    MetricKind.UNICAST_OUTAGE_OMA, MetricKind.SECRECY_OUTAGE,
-    MetricKind.SECRECY_OUTAGE_OMA, MetricKind.NOMA_TRAILS_OMA,
-}
 
 # metric -> (per-realization field, outage-rate target attribute or None)
 _METRIC_FIELDS = {
@@ -170,61 +166,60 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
     return z1, others, a_sel, others_oma
 
 
-def _gain_moments(cfg: LinkConfig, z1, others, z1_oma, others_oma):
-    """Per-realization outcomes of a batch of gains, reduced to moments."""
-    u = others.min(axis=1)
-    v = others.max(axis=1)
+def _gain_moments(cfgs, z1, others, z1_oma, others_oma):
+    """Batch size and (configs, fields) sums and squares of the outcomes; the
+    SNR-free min/max reductions run once per batch, the rest once per config."""
+    u, v = others.min(axis=1), others.max(axis=1)
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
-    thr = cfg.eps_m / cfg.rho
-    alpha_u2 = tx.power_fraction(gmin, cfg)
-    gamma = tx.time_fraction(np.minimum(z1_oma, others_oma.min(axis=1)), cfg)
-
-    r1_noma = tx.noma_rate(z1, alpha_u2, cfg)
-    eaves_noma = tx.noma_rate(v, alpha_u2, cfg)  # rates increase with gain
-    r1_oma = tx.oma_rate(z1_oma, gamma, cfg)
-    eaves_oma = tx.oma_rate(others_oma.max(axis=1), gamma, cfg)
-    rs_noma = tx.secrecy_rate(r1_noma, eaves_noma)
-    rs_oma = tx.secrecy_rate(r1_oma, eaves_oma)
-    gap = rs_noma - rs_oma
-
-    fields = {
-        "multicast_outage": gmin < thr,
-        "noma_unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
-        "oma_unicast_outage": r1_oma < cfg.r_u,
-        "noma_secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 < cfg.eps_s / cfg.rho,
-        "oma_secrecy_outage": rs_oma < cfg.r_s,
-        "noma_trails_oma": r1_noma <= r1_oma + RATE_EQ_GUARD,
-        "noma_unicast_rate": r1_noma,
-        "oma_unicast_rate": r1_oma,
-        "noma_secrecy_rate": rs_noma,
-        "oma_secrecy_rate": rs_oma,
-        "secrecy_gap": gap,
-        "secrecy_violation": gap < -RATE_EQ_GUARD,
-        "sched_ok": z1 >= u,
-    }
-    sums = np.empty(len(_FIELDS))
-    sumsqs = np.empty(len(_FIELDS))
-    for i, name in enumerate(_FIELDS):
-        x = fields[name].astype(np.float64, copy=False)
-        sums[i] = x.sum()
-        sumsqs[i] = (x * x).sum()
+    mrt = z1_oma is z1 and others_oma is others  # the OMA beam sees the same gains
+    gmin_oma = gmin if mrt else np.minimum(z1_oma, others_oma.min(axis=1))
+    v_oma = v if mrt else others_oma.max(axis=1)
+    sums, sumsqs = np.empty((2, len(cfgs), len(_FIELDS)))
+    for p, cfg in enumerate(cfgs):
+        alpha_u2 = tx.power_fraction(gmin, cfg)
+        gamma = tx.time_fraction(gmin_oma, cfg)
+        r1_noma = tx.noma_rate(z1, alpha_u2, cfg)
+        r1_oma = tx.oma_rate(z1_oma, gamma, cfg)
+        # rates increase with gain, so the strongest other user is the best eavesdropper
+        rs_noma = tx.secrecy_rate(r1_noma, tx.noma_rate(v, alpha_u2, cfg))
+        rs_oma = tx.secrecy_rate(r1_oma, tx.oma_rate(v_oma, gamma, cfg))
+        gap = rs_noma - rs_oma
+        fields = {
+            "multicast_outage": gmin < cfg.eps_m / cfg.rho,
+            "noma_unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
+            "oma_unicast_outage": r1_oma < cfg.r_u,
+            "noma_secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 < cfg.eps_s / cfg.rho,
+            "oma_secrecy_outage": rs_oma < cfg.r_s,
+            "noma_trails_oma": r1_noma <= r1_oma + RATE_EQ_GUARD,
+            "noma_unicast_rate": r1_noma,
+            "oma_unicast_rate": r1_oma,
+            "noma_secrecy_rate": rs_noma,
+            "oma_secrecy_rate": rs_oma,
+            "secrecy_gap": gap,
+            "secrecy_violation": gap < -RATE_EQ_GUARD,
+            "sched_ok": z1 >= u,
+        }
+        for i, name in enumerate(_FIELDS):
+            x = fields[name]  # an indicator is its own square, and its count is exact
+            sums[p, i] = np.count_nonzero(x) if x.dtype == bool else x.sum()
+            sumsqs[p, i] = sums[p, i] if x.dtype == bool else (x * x).sum()
     return len(z1), sums, sumsqs
 
 
 def _chunk_moments(args):
-    """Moments of the realizations in window indices [lo, hi)."""
-    cfg, m, k, plan, base, lo, hi = args
-    return _gain_moments(cfg, *_sample_gains(m, k, plan, base + lo, hi - lo))
+    """Moments of the realizations in window indices [lo, hi) at every config."""
+    cfgs, m, k, plan, base, lo, hi = args
+    return _gain_moments(cfgs, *_sample_gains(m, k, plan, base + lo, hi - lo))
 
 
-def _run_moments(cfg: LinkConfig, system, plan: SimulationPlan, base: int):
-    """Accumulate per-field moments over all realizations of a run."""
+def _run_moments(cfgs, system, plan: SimulationPlan, base: int):
+    """Sample count and per-config (sums, sums of squares) field dicts of a run."""
     m, k = system
     if k < 2:
         raise ValueError(f"need at least 2 users, got {k}")
     if m < 1:
         raise ValueError(f"need at least 1 antenna, got {m}")
-    chunks = [(cfg, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
+    chunks = [(cfgs, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
               for lo in range(0, plan.samples, _CHUNK)]
     if plan.workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
@@ -232,9 +227,9 @@ def _run_moments(cfg: LinkConfig, system, plan: SimulationPlan, base: int):
     else:
         results = [_chunk_moments(c) for c in chunks]
     ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
-    zero = np.zeros(len(_FIELDS))
-    return (sum(ns), dict(zip(_FIELDS, sum(sums, zero))),
-            dict(zip(_FIELDS, sum(sumsqs, zero))))
+    zero = np.zeros((len(cfgs), len(_FIELDS)))
+    return sum(ns), [(dict(zip(_FIELDS, s)), dict(zip(_FIELDS, q)))
+                     for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
 
 
 def _moment_estimate(n: int, s: float, ssq: float, probability: bool) -> Estimate:
@@ -249,9 +244,9 @@ def _moment_estimate(n: int, s: float, ssq: float, probability: bool) -> Estimat
 
 def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Estimate:
     field, rate_attr = _METRIC_FIELDS[metric]
+    # every metric but a mean rate is a probability or derived from one
     base = _moment_estimate(n, sums[field], sumsqs[field],
-                            probability=metric in _PROBABILITY_METRICS
-                            or rate_attr is not None)
+                            probability=not metric.value.startswith("mean_"))
     if rate_attr is None:
         return base
     target = getattr(cfg, rate_attr)
@@ -259,15 +254,20 @@ def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Es
         raise ValueError(f"{metric.value} needs a positive {rate_attr} target")
     # outage rate (1 - P) * target, derived from the outage indicator moments
     return Estimate(target * (1.0 - base.value), target * base.stderr,
-                    target * (1.0 - base.ci_high), target * (1.0 - base.ci_low),
-                    n)
+                    target * (1.0 - base.ci_high), target * (1.0 - base.ci_low), n)
 
 
-def estimate_many(metrics, cfg: LinkConfig, system, plan: SimulationPlan,
-                  stream_base: int = 0) -> dict:
-    """Estimate several metrics from one shared set of realizations."""
-    n, sums, sumsqs = _run_moments(cfg, system, plan, stream_base)
-    return {m: _metric_estimate(m, cfg, n, sums, sumsqs) for m in metrics}
+def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int = 0):
+    """Estimate several metrics from one shared set of realizations.
+
+    ``cfg`` is one LinkConfig (one dict of estimates) or a sequence of them,
+    say an SNR grid (one dict per config, all on the same windows).
+    """
+    cfgs = [cfg] if isinstance(cfg, LinkConfig) else list(cfg)
+    n, points = _run_moments(cfgs, system, plan, stream_base)
+    out = [{metric: _metric_estimate(metric, c, n, *moments) for metric in metrics}
+           for c, moments in zip(cfgs, points)]
+    return out[0] if isinstance(cfg, LinkConfig) else out
 
 
 def estimate(metric: MetricKind, cfg: LinkConfig, system,
@@ -283,21 +283,18 @@ def estimate(metric: MetricKind, cfg: LinkConfig, system,
 
 def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,
           plan: SimulationPlan):
-    """One estimate per SNR grid point (dB); points use disjoint substreams."""
+    """One estimate per SNR grid point (dB), all on windows [0, samples)."""
     snr_grid_db = list(snr_grid_db)
     if not snr_grid_db:
         raise ValueError("empty SNR grid")
-    out = []
-    for idx, snr_db in enumerate(snr_grid_db):
-        point_cfg = replace(cfg, rho=10.0 ** (snr_db / 10.0))
-        out.append((snr_db, estimate(metric, point_cfg, system, plan,
-                                     stream_base=idx * plan.samples)))
-    return out
+    cfgs = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in snr_grid_db]
+    return [(snr_db, est[metric]) for snr_db, est
+            in zip(snr_grid_db, estimate_many([metric], cfgs, system, plan))]
 
 
 def scheduling_check(cfg: LinkConfig, system, plan: SimulationPlan) -> Estimate:
     """Fraction of realizations with z1 >= u (must be 1.0 under scheduling)."""
-    n, sums, sumsqs = _run_moments(cfg, system, plan, 0)
+    n, [(sums, sumsqs)] = _run_moments([cfg], system, plan, 0)
     return _moment_estimate(n, sums["sched_ok"], sumsqs["sched_ok"], probability=True)
 
 
@@ -306,7 +303,7 @@ def compare_secrecy_rates(cfg: LinkConfig, system, plan: SimulationPlan,
     """Head-to-head NOMA vs OMA secrecy rates over shared realizations."""
     if rho_db is not None:
         cfg = replace(cfg, rho=10.0 ** (rho_db / 10.0))
-    n, sums, sumsqs = _run_moments(cfg, system, plan, 0)
+    n, [(sums, sumsqs)] = _run_moments([cfg], system, plan, 0)
     violation = _moment_estimate(n, sums["secrecy_violation"],
                                  sumsqs["secrecy_violation"], probability=True)
     gap = _moment_estimate(n, sums["secrecy_gap"], sumsqs["secrecy_gap"],

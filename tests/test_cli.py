@@ -170,6 +170,19 @@ def test_main_comparison_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1  # outage at 40 dB is nowhere near 0.5
 
 
+def test_main_crash_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    import nomacast.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "run_scenario", crash)
+    code = main(["--scenario", "fig1", "--samples", "100", "--out", str(tmp_path)])
+    assert code == 4  # never 1, which means a comparison failed
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_main_end_to_end_pass(tmp_path):
     code = main(["--scenario", "fig1", "--samples", "40000", "--snr", "8:16:8",
                  "--out", str(tmp_path)])
@@ -187,6 +200,25 @@ def test_main_config_file_end_to_end(tmp_path):
     code = main(["--config", str(cfg_file), "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "run_report.txt").exists()
+
+
+def test_one_process_pool_per_scenario_run(tmp_path, monkeypatch):
+    """A pooled run draws each window once for the whole grid, in one pool."""
+    import nomacast.montecarlo as montecarlo
+    starts = []
+    real = montecarlo.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting)
+    scenario = _tiny(samples=montecarlo._CHUNK + 5000,  # two chunks per point
+                     snr_grid_db=(0.0, 10.0, 20.0, 30.0))
+    _, pooled = run_scenario(scenario, out_dir=tmp_path / "w2", mode="mc", workers=2)
+    assert len(starts) == 1
+    _, serial = run_scenario(scenario, out_dir=tmp_path / "w1", mode="mc", workers=1)
+    assert len(starts) == 1
+    assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in serial]
 
 
 def test_report_includes_scheme_gaps(tmp_path):

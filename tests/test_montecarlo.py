@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def _oracle_estimates(metrics, cfg, m, k, plan):
     """Estimates from the channel-matrix oracle's gains through the same kernel."""
     gains = full_matrix_gains(m, k, plan.scheduling, plan.oma_beamformer,
                               plan.seed, plan.samples)
-    n, sums, sumsqs = _gain_moments(cfg, *gains)
+    n, [sums], [sumsqs] = _gain_moments([cfg], *gains)
     sums, sumsqs = dict(zip(_FIELDS, sums)), dict(zip(_FIELDS, sumsqs))
     return {metric: _metric_estimate(metric, cfg, n, sums, sumsqs)
             for metric in metrics}
@@ -160,6 +161,34 @@ def test_sweep_outage_nonincreasing():
     points = sweep(MetricKind.UNICAST_OUTAGE, CFG, range(0, 44, 4), (2, 11), plan)
     for (_, lo), (_, hi) in zip(points[1:], points[:-1]):
         assert lo.value <= hi.value + 3 * math.hypot(lo.stderr, hi.stderr)
+
+
+def test_sweep_outage_exactly_nonincreasing():
+    """Every grid point reuses the same windows and a realization's outage
+    indicators never increase with the SNR, so the curves are monotone exactly."""
+    plan = SimulationPlan(40_000, seed=11)
+    for metric in (MetricKind.MULTICAST_OUTAGE, MetricKind.UNICAST_OUTAGE):
+        points = sweep(metric, CFG, range(0, 44, 4), (2, 11), plan)
+        for (_, lo), (_, hi) in zip(points[1:], points[:-1]):
+            assert lo.value <= hi.value, metric
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(70_000, seed=31),
+    SimulationPlan(70_000, seed=32, scheduling=True),
+    SimulationPlan(70_000, seed=33, oma_beamformer=EQUAL_GAIN),
+], ids=["mrt", "sched", "equal"])
+def test_grid_points_equal_single_point_estimates(plan, workers):
+    """A grid run evaluates every point on windows [0, samples), bit for bit
+    what a single-point run at stream_base 0 gives (70k samples: two chunks)."""
+    plan = replace(plan, workers=workers)
+    metrics = list(MetricKind)
+    cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (4.0, 16.0, 28.0)]
+    grid = estimate_many(metrics, cfgs, (3, 5), plan, stream_base=0)
+    assert len(grid) == len(cfgs)
+    for cfg, point in zip(cfgs, grid):
+        assert point == estimate_many(metrics, cfg, (3, 5), plan, stream_base=0)
 
 
 def test_sweep_rejects_empty_grid():
@@ -275,7 +304,7 @@ def _oracle_moments(cfg, realizations):
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
-    n, sums, sumsqs = _chunk_moments((CFG, m, k, plan, 0, 0, plan.samples))
+    n, [sums], [sumsqs] = _chunk_moments(([CFG], m, k, plan, 0, 0, plan.samples))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
@@ -287,7 +316,8 @@ def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
     (rare in the window plans above, where z1 ~ Gamma(M))."""
     z = RngStream(43).exponential((2000, 5)) * 0.5
     z_oma = RngStream(44).exponential((2000, 5)) * 0.5
-    n, sums, sumsqs = _gain_moments(CFG, z[:, 0], z[:, 1:], z_oma[:, 0], z_oma[:, 1:])
+    n, [sums], [sumsqs] = _gain_moments([CFG], z[:, 0], z[:, 1:], z_oma[:, 0],
+                                        z_oma[:, 1:])
     ref_sums, ref_sumsqs = _oracle_moments(
         CFG, ((gains(a[0], a[1:]), gains(b[0], b[1:])) for a, b in zip(z, z_oma)))
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
@@ -309,8 +339,36 @@ def test_outage_indicators_nonincreasing_in_snr(z1, others, snr_db, step_db, r_m
         cfg = LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
         alpha_u2 = power_fraction(min(z1[0], others.min()), cfg)
         assert 0.0 <= alpha_u2 < 1.0 / (1.0 + cfg.eps_m)
-        outages.append(_gain_moments(cfg, z1, others, z1, others)[1][fields])
+        outages.append(_gain_moments([cfg], z1, others, z1, others)[1][0, fields])
     assert np.all(outages[1] <= outages[0])
+
+
+@settings(derandomize=True, deadline=None)
+@given(others=st.lists(st.tuples(st.floats(1e-2, 10.0), st.floats(1e-2, 10.0)),
+                       min_size=1, max_size=9),
+       ratios=st.tuples(st.floats(0.25, 16.0), st.floats(0.25, 16.0)),
+       same_beam=st.booleans(), lo_db=st.floats(-10.0, 20.0),
+       step_db=st.floats(0.05, 5.0), r_m=st.floats(0.1, 4.0),
+       r_u=st.floats(0.1, 12.0), r_s=st.floats(0.01, 4.0))
+def test_secrecy_outage_indicators_nonincreasing_in_snr(others, ratios, same_beam, lo_db,
+                                                         step_db, r_m, r_u, r_s):
+    """For r_s > 0 the NOMA and OMA secrecy outage indicators of one
+    realization do not increase along an SNR grid up to 60 dB.
+
+    z1 is a multiple of 2^r_s times the strongest other gain, so in about
+    half the examples an indicator falls from 1 to 0 inside the grid.  The
+    OMA secrecy rate is a difference of two rounded logs, so a step far below
+    0.05 dB could flip an indicator sitting within an ulp of r_s.
+    """
+    others = np.array(others).T[:, None, :]  # (MRT, OMA beam) x 1 realization x K-1
+    z1 = np.array(ratios)[:, None] * 2.0 ** r_s * others.max(axis=2)
+    gains = (z1[0], others[0])
+    gains_oma = gains if same_beam else (z1[1], others[1])  # same objects: the MRT path
+    fields = [_FIELDS.index("noma_secrecy_outage"), _FIELDS.index("oma_secrecy_outage")]
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u, r_s)
+            for db in np.arange(lo_db, 60.0, step_db)]
+    _, sums, _ = _gain_moments(cfgs, *gains, *gains_oma)
+    assert np.all(np.diff(sums[:, fields], axis=0) <= 0)
 
 
 def test_rejects_too_few_users():
