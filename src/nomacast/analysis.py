@@ -370,11 +370,10 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     """
     thr = p.eps_m / p.rho
     cap = _minmax_tail_cap(p)
-    y, wy = rule.nodes, rule.weights
-    x, wx = rule.nodes, rule.weights
-    v = 0.5 * (cap - thr) * y + 0.5 * (cap + thr)
+    t = rule.nodes  # both axes use the same rule
+    v = 0.5 * (cap - thr) * t + 0.5 * (cap + thr)
     half = 0.5 * (v - thr)
-    u = half[:, None] * x[None, :] + 0.5 * (v[:, None] + thr)
+    u = half[:, None] * t[None, :] + 0.5 * (v[:, None] + thr)
     pdf = joint_minmax_pdf(u, v[:, None], p.k)
     scaled_v = (1.0 + p.eps_s) * v[:, None]  # 2^r_s * v
     with np.errstate(divide="ignore", over="ignore"):
@@ -382,16 +381,17 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     d4 = _upper_reg(p.m, scaled_v) - _upper_reg(p.m, np.minimum(scaled_v + shift,
                                                                 _GAMMA_ARG_CAP))
     d6 = _lower_reg(p.m, scaled_v) - _lower_reg(p.m, u)
-    outer = wy * np.sqrt(1.0 - y**2) * 0.5 * (cap - thr) * half
-    inner = wx * np.sqrt(1.0 - x**2)
+    inner = rule.weights * np.sqrt(1.0 - t**2)
+    outer = inner * 0.5 * (cap - thr) * half
     weight = outer[:, None] * inner[None, :] * pdf
     return float(np.sum(weight * d4)), float(np.sum(weight * d6))
 
 
 def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,
                         check_refinement: bool = False) -> SecrecyOutageResult:
-    """NOMA secrecy outage probability P((z1 - 2^r_s v) alpha_U^2 < eps_s/rho).
+    """NOMA secrecy outage probability P((z1 - 2^r_s v) alpha_U^2 <= eps_s/rho).
 
+    A realization with no positive secrecy rate is an outage, even at r_s = 0.
     q5 collects the branches that are certain outages (unicast user not the
     strongest, or all power spent on multicasting) in closed form; q4 and
     q6 cover the remaining branches through the nested quadrature over the

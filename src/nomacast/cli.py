@@ -26,7 +26,8 @@ import numpy as np
 from .analysis import (AnalysisParams, UnsupportedAnalyticsError, chebyshev_rule,
                        multicast_outage_prob, secrecy_outage_prob,
                        unicast_outage_prob)
-from .montecarlo import BEAMFORMER_KINDS, MRT, MetricKind, SimulationPlan, estimate_many
+from .montecarlo import (BEAMFORMER_KINDS, MRT, OUTAGE_RATE_OF, Estimate, MetricKind,
+                         SimulationPlan, derive_estimate, estimate_many)
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -40,17 +41,19 @@ CSV_HEADER = ("snr_db", "metric", "method", "value", "stderr", "ci_low", "ci_hig
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 12345
 
-# Absolute comparison tolerance per probability metric; outage-rate rows
-# scale the probability tolerance by the target rate.
-_PROB_TOL = {
-    MetricKind.MULTICAST_OUTAGE: 0.005,
-    MetricKind.UNICAST_OUTAGE: 0.005,
-    MetricKind.SECRECY_OUTAGE: 0.01,
+# probability metric -> (closed form of (AnalysisParams, quadrature rule), absolute
+# comparison tolerance); an outage-rate row is (1 - P) * target and scales the
+# tolerance by the target.  The lambdas look the analysis functions up here at
+# call time.
+_CLOSED_FORMS = {
+    MetricKind.MULTICAST_OUTAGE: (lambda p, rule: multicast_outage_prob(p), 0.005),
+    MetricKind.UNICAST_OUTAGE: (lambda p, rule: unicast_outage_prob(p, rule).total, 0.005),
+    MetricKind.SECRECY_OUTAGE: (lambda p, rule: secrecy_outage_prob(p, rule).total, 0.01),
 }
 
 
 class ScenarioError(Exception):
-    """Unknown scenario name or malformed configuration."""
+    """Unknown scenario name, malformed configuration or unwritable output."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,6 @@ _UNICAST_METRICS = (MetricKind.UNICAST_OUTAGE, MetricKind.UNICAST_OUTAGE_OMA,
                     MetricKind.OUTAGE_RATE_UNICAST, MetricKind.OUTAGE_RATE_UNICAST_OMA)
 _SECRECY_METRICS = (MetricKind.SECRECY_OUTAGE, MetricKind.SECRECY_OUTAGE_OMA,
                     MetricKind.OUTAGE_RATE_SECRECY, MetricKind.OUTAGE_RATE_SECRECY_OMA)
-# outage-rate metric -> (its outage-probability metric, target attribute)
-_OUTAGE_RATE_OF = {
-    MetricKind.OUTAGE_RATE_UNICAST: (MetricKind.UNICAST_OUTAGE, "r_u"),
-    MetricKind.OUTAGE_RATE_SECRECY: (MetricKind.SECRECY_OUTAGE, "r_s"),
-}
 
 
 def _presets():
@@ -139,11 +137,9 @@ class ReportRow:
         return abs(self.analytic - self.mc_value)
 
     def tolerance(self, cfg: LinkConfig) -> float:
-        kind, target = _OUTAGE_RATE_OF.get(self.metric, (self.metric, None))
-        base = _PROB_TOL.get(kind, 0.01)
-        if target is not None:
-            base *= getattr(cfg, target)
-        return max(base, 3.0 * self.mc_stderr)
+        kind, target = OUTAGE_RATE_OF.get(self.metric, (self.metric, None))
+        scale = 1.0 if target is None else getattr(cfg, target)
+        return max(_CLOSED_FORMS[kind][1] * scale, 3.0 * self.mc_stderr)
 
 
 _GAP_PAIRS = (
@@ -195,18 +191,11 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m: int, k: int, na: int,
     there; secrecy analytics additionally need K >= 3 (raised as
     UnsupportedAnalyticsError so pure-analytic runs can exit distinctly).
     """
-    kind, target = _OUTAGE_RATE_OF.get(metric, (metric, None))
-    if scheduling or kind not in (MetricKind.MULTICAST_OUTAGE, MetricKind.UNICAST_OUTAGE,
-                                  MetricKind.SECRECY_OUTAGE):
+    kind = OUTAGE_RATE_OF.get(metric, (metric,))[0]
+    if scheduling or kind not in _CLOSED_FORMS:
         return None
-    params = AnalysisParams.from_link(m, k, cfg)
-    if kind is MetricKind.MULTICAST_OUTAGE:
-        p = multicast_outage_prob(params)
-    elif kind is MetricKind.UNICAST_OUTAGE:
-        p = unicast_outage_prob(params, chebyshev_rule(na)).total
-    else:
-        p = secrecy_outage_prob(params, chebyshev_rule(na)).total
-    return p if target is None else (1.0 - p) * getattr(cfg, target)
+    p = _CLOSED_FORMS[kind][0](AnalysisParams.from_link(m, k, cfg), chebyshev_rule(na))
+    return derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)).value
 
 
 def emit_csv(rows, path):
@@ -215,14 +204,17 @@ def emit_csv(rows, path):
     if not rows:
         raise ValueError("no rows to write")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([f"{r['snr_db']:.9g}", r["metric"], r["method"],
-                             f"{r['value']:.9g}", f"{r['stderr']:.9g}",
-                             f"{r['ci_low']:.9g}", f"{r['ci_high']:.9g}"])
+    try:  # an output path that cannot be created or written is a usage error
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for r in rows:
+                writer.writerow([f"{r['snr_db']:.9g}", r["metric"], r["method"],
+                                 f"{r['value']:.9g}", f"{r['stderr']:.9g}",
+                                 f"{r['ci_low']:.9g}", f"{r['ci_high']:.9g}"])
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -234,11 +226,8 @@ def read_csv(path):
         if tuple(reader.fieldnames or ()) != CSV_HEADER:
             raise ScenarioError(f"unexpected CSV header in {path}")
         for rec in reader:
-            out.append({"snr_db": float(rec["snr_db"]), "metric": rec["metric"],
-                        "method": rec["method"], "value": float(rec["value"]),
-                        "stderr": float(rec["stderr"]),
-                        "ci_low": float(rec["ci_low"]),
-                        "ci_high": float(rec["ci_high"])})
+            out.append({key: text if key in ("metric", "method") else float(text)
+                        for key, text in rec.items()})
     return out
 
 
@@ -259,7 +248,6 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
 
     report = ComparisonReport(scenario)
     csv_rows = {metric: [] for metric in scenario.metrics}
-    analytic_seen = False
     grid = sorted(scenario.snr_grid_db)
     cfgs = [LinkConfig(10.0 ** (snr_db / 10.0), scenario.r_m, scenario.r_u, scenario.r_s)
             for snr_db in grid]
@@ -269,7 +257,7 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):
         closed = {}  # each closed form runs once per point
         for metric in scenario.metrics:
-            kind, target = _OUTAGE_RATE_OF.get(metric, (metric, None))
+            kind = OUTAGE_RATE_OF.get(metric, (metric,))[0]
             if run_analytic and kind not in closed:
                 closed[kind] = None
                 try:
@@ -280,23 +268,17 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                         raise
                     if str(exc) not in report.notes:
                         report.notes.append(str(exc))
-            analytic = closed.get(kind)
-            if analytic is not None and target is not None:  # (1 - P) * target
-                analytic = (1.0 - analytic) * getattr(cfg, target)
-            if analytic is not None:
-                analytic_seen = True
-                csv_rows[metric].append({
-                    "snr_db": snr_db, "metric": metric.value, "method": "analytic",
-                    "value": analytic, "stderr": 0.0, "ci_low": analytic,
-                    "ci_high": analytic})
-            if metric in mc:
-                est = mc[metric]
-                csv_rows[metric].append({
-                    "snr_db": snr_db, "metric": metric.value, "method": "mc",
-                    "value": est.value, "stderr": est.stderr,
-                    "ci_low": est.ci_low, "ci_high": est.ci_high})
-            if analytic is not None and metric in mc:
-                row = ReportRow(snr_db, metric, analytic, mc[metric].value,
+            p = closed.get(kind)
+            exact = (None if p is None
+                     else derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)))
+            for method, est in (("analytic", exact), ("mc", mc.get(metric))):
+                if est is not None:
+                    csv_rows[metric].append({
+                        "snr_db": snr_db, "metric": metric.value, "method": method,
+                        "value": est.value, "stderr": est.stderr,
+                        "ci_low": est.ci_low, "ci_high": est.ci_high})
+            if exact is not None and metric in mc:
+                row = ReportRow(snr_db, metric, exact.value, mc[metric].value,
                                 mc[metric].stderr)
                 report.rows.append(row)
                 report.verdicts.append(
@@ -305,7 +287,7 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
             if noma_metric in mc and oma_metric in mc:
                 report.gaps.append((snr_db, label,
                                     mc[noma_metric].value - mc[oma_metric].value))
-    if mode == "analytic" and not analytic_seen:
+    if mode == "analytic" and not any(csv_rows.values()):
         raise UnsupportedAnalyticsError(
             f"no closed form applies to scenario {scenario.name!r} "
             f"(scheduling={'on' if scenario.scheduling else 'off'})")
@@ -450,8 +432,11 @@ def main(argv=None) -> int:
                 print(f"wrote {p}")
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"
-        summary_path.parent.mkdir(parents=True, exist_ok=True)
-        summary_path.write_text(summary + "\n")
+        try:
+            summary_path.parent.mkdir(parents=True, exist_ok=True)
+            summary_path.write_text(summary + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {summary_path}: {exc}") from None
         print(summary)
         print(f"wrote {summary_path}")
         return EXIT_OK if all(r.all_pass for r in reports) else EXIT_COMPARISON_FAIL

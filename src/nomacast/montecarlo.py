@@ -54,28 +54,21 @@ class MetricKind(Enum):
     OUTAGE_RATE_SECRECY_OMA = "outage_rate_secrecy_oma"
 
 
-# metric -> (per-realization field, outage-rate target attribute or None)
-_METRIC_FIELDS = {
-    MetricKind.MULTICAST_OUTAGE: ("multicast_outage", None),
-    MetricKind.UNICAST_OUTAGE: ("noma_unicast_outage", None),
-    MetricKind.UNICAST_OUTAGE_OMA: ("oma_unicast_outage", None),
-    MetricKind.SECRECY_OUTAGE: ("noma_secrecy_outage", None),
-    MetricKind.SECRECY_OUTAGE_OMA: ("oma_secrecy_outage", None),
-    MetricKind.NOMA_TRAILS_OMA: ("noma_trails_oma", None),
-    MetricKind.MEAN_NOMA_UNICAST_RATE: ("noma_unicast_rate", None),
-    MetricKind.MEAN_OMA_UNICAST_RATE: ("oma_unicast_rate", None),
-    MetricKind.MEAN_NOMA_SECRECY_RATE: ("noma_secrecy_rate", None),
-    MetricKind.MEAN_OMA_SECRECY_RATE: ("oma_secrecy_rate", None),
-    MetricKind.OUTAGE_RATE_UNICAST: ("noma_unicast_outage", "r_u"),
-    MetricKind.OUTAGE_RATE_UNICAST_OMA: ("oma_unicast_outage", "r_u"),
-    MetricKind.OUTAGE_RATE_SECRECY: ("noma_secrecy_outage", "r_s"),
-    MetricKind.OUTAGE_RATE_SECRECY_OMA: ("oma_secrecy_outage", "r_s"),
+# Every metric but an outage rate is the mean of the kernel field of the same
+# name (see _gain_moments).  outage-rate metric -> (its outage-probability
+# metric, target attribute): the rate is (1 - P) * target.
+OUTAGE_RATE_OF = {
+    MetricKind.OUTAGE_RATE_UNICAST: (MetricKind.UNICAST_OUTAGE, "r_u"),
+    MetricKind.OUTAGE_RATE_UNICAST_OMA: (MetricKind.UNICAST_OUTAGE_OMA, "r_u"),
+    MetricKind.OUTAGE_RATE_SECRECY: (MetricKind.SECRECY_OUTAGE, "r_s"),
+    MetricKind.OUTAGE_RATE_SECRECY_OMA: (MetricKind.SECRECY_OUTAGE_OMA, "r_s"),
 }
 
-_FIELDS = ("multicast_outage", "noma_unicast_outage", "oma_unicast_outage",
-           "noma_secrecy_outage", "oma_secrecy_outage", "noma_trails_oma",
-           "noma_unicast_rate", "oma_unicast_rate", "noma_secrecy_rate",
-           "oma_secrecy_rate", "secrecy_gap", "secrecy_violation", "sched_ok")
+# the metric fields, then three fields that only the checks read
+_FIELDS = ("multicast_outage", "unicast_outage", "unicast_outage_oma",
+           "secrecy_outage", "secrecy_outage_oma", "noma_trails_oma",
+           "mean_noma_unicast_rate", "mean_oma_unicast_rate", "mean_noma_secrecy_rate",
+           "mean_oma_secrecy_rate", "secrecy_gap", "secrecy_violation", "sched_ok")
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,8 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
 
 def _gain_moments(cfgs, z1, others, z1_oma, others_oma):
     """Batch size and (configs, fields) sums and squares of the outcomes; the
-    SNR-free min/max reductions run once per batch, the rest once per config."""
+    SNR-free min/max reductions run once per batch, the rest once per config.
+    A metric field's mean is the estimate of the metric of the same name."""
     u, v = others.min(axis=1), others.max(axis=1)
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
     mrt = z1_oma is z1 and others_oma is others  # the OMA beam sees the same gains
@@ -186,15 +180,16 @@ def _gain_moments(cfgs, z1, others, z1_oma, others_oma):
         gap = rs_noma - rs_oma
         fields = {
             "multicast_outage": gmin < cfg.eps_m / cfg.rho,
-            "noma_unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
-            "oma_unicast_outage": r1_oma < cfg.r_u,
-            "noma_secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 < cfg.eps_s / cfg.rho,
-            "oma_secrecy_outage": rs_oma < cfg.r_s,
+            "unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
+            "unicast_outage_oma": r1_oma < cfg.r_u,
+            # no positive secrecy rate is an outage, even at r_s = 0
+            "secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 <= cfg.eps_s / cfg.rho,
+            "secrecy_outage_oma": rs_oma <= cfg.r_s,
             "noma_trails_oma": r1_noma <= r1_oma + RATE_EQ_GUARD,
-            "noma_unicast_rate": r1_noma,
-            "oma_unicast_rate": r1_oma,
-            "noma_secrecy_rate": rs_noma,
-            "oma_secrecy_rate": rs_oma,
+            "mean_noma_unicast_rate": r1_noma,
+            "mean_oma_unicast_rate": r1_oma,
+            "mean_noma_secrecy_rate": rs_noma,
+            "mean_oma_secrecy_rate": rs_oma,
             "secrecy_gap": gap,
             "secrecy_violation": gap < -RATE_EQ_GUARD,
             "sched_ok": z1 >= u,
@@ -242,19 +237,25 @@ def _moment_estimate(n: int, s: float, ssq: float, probability: bool) -> Estimat
     return Estimate(mean, stderr, lo, hi, n)
 
 
-def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Estimate:
-    field, rate_attr = _METRIC_FIELDS[metric]
-    # every metric but a mean rate is a probability or derived from one
-    base = _moment_estimate(n, sums[field], sumsqs[field],
-                            probability=not metric.value.startswith("mean_"))
-    if rate_attr is None:
-        return base
+def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Estimate:
+    """Estimate of ``metric`` from ``source``, that of the metric it reads (see
+    OUTAGE_RATE_OF): (1 - P) * target for an outage rate, else ``source``."""
+    if metric not in OUTAGE_RATE_OF:
+        return source
+    rate_attr = OUTAGE_RATE_OF[metric][1]
     target = getattr(cfg, rate_attr)
     if not target > 0:
         raise ValueError(f"{metric.value} needs a positive {rate_attr} target")
-    # outage rate (1 - P) * target, derived from the outage indicator moments
-    return Estimate(target * (1.0 - base.value), target * base.stderr,
-                    target * (1.0 - base.ci_high), target * (1.0 - base.ci_low), n)
+    return Estimate(target * (1.0 - source.value), target * source.stderr,
+                    target * (1.0 - source.ci_high), target * (1.0 - source.ci_low),
+                    source.samples)
+
+
+def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Estimate:
+    field = OUTAGE_RATE_OF.get(metric, (metric,))[0].value
+    # every field but a mean rate is a probability
+    return derive_estimate(metric, cfg, _moment_estimate(
+        n, sums[field], sumsqs[field], probability=not field.startswith("mean_")))
 
 
 def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int = 0):
@@ -298,11 +299,9 @@ def scheduling_check(cfg: LinkConfig, system, plan: SimulationPlan) -> Estimate:
     return _moment_estimate(n, sums["sched_ok"], sumsqs["sched_ok"], probability=True)
 
 
-def compare_secrecy_rates(cfg: LinkConfig, system, plan: SimulationPlan,
-                          rho_db: float | None = None) -> SecrecyComparison:
+def compare_secrecy_rates(cfg: LinkConfig, system,
+                          plan: SimulationPlan) -> SecrecyComparison:
     """Head-to-head NOMA vs OMA secrecy rates over shared realizations."""
-    if rho_db is not None:
-        cfg = replace(cfg, rho=10.0 ** (rho_db / 10.0))
     n, [(sums, sumsqs)] = _run_moments([cfg], system, plan, 0)
     violation = _moment_estimate(n, sums["secrecy_violation"],
                                  sumsqs["secrecy_violation"], probability=True)

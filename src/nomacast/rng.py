@@ -109,15 +109,3 @@ class RngStream:
 
     def exponential(self, size=()) -> np.ndarray:
         return self._draw(size, bits_to_exponential)
-
-    def complex_normal(self, size=()) -> np.ndarray:
-        """Circularly-symmetric complex Gaussians, unit variance per entry.
-
-        Real and imaginary parts are interleaved in consumption order and
-        carry variance 1/2 each.
-        """
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
-        g = bits_to_normal(self.raw(2 * n))
-        z = (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
-        return z.reshape(shape) if shape else z[0]

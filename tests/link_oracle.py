@@ -88,12 +88,13 @@ def outage_events(g: Gains, cfg: LinkConfig):
     """(multicast, unicast, secrecy) outage indicators of the NOMA scheme.
 
     The unicast and secrecy events use the threshold forms
-    z1 alpha_U^2 < eps_u/rho and (z1 - 2^r_s v) alpha_U^2 < eps_s/rho.
+    z1 alpha_U^2 < eps_u/rho and (z1 - 2^r_s v) alpha_U^2 <= eps_s/rho: no
+    positive secrecy rate is a secrecy outage, even at r_s = 0.
     """
     alpha_u2 = power_fraction(g, cfg)
     multicast = min(g.z1, g.u) < cfg.eps_m / cfg.rho
     unicast = g.z1 * alpha_u2 < cfg.eps_u / cfg.rho
-    secrecy = (g.z1 - 2.0**cfg.r_s * g.v) * alpha_u2 < cfg.eps_s / cfg.rho
+    secrecy = (g.z1 - 2.0**cfg.r_s * g.v) * alpha_u2 <= cfg.eps_s / cfg.rho
     return multicast, unicast, secrecy
 
 

@@ -183,6 +183,49 @@ def test_main_crash_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_secrecy_outage_at_zero_target_matches_closed_form(tmp_path):
+    """At r_s = 0 a realization with no positive secrecy rate is an outage for
+    the Monte Carlo field as for the closed form, so every point passes."""
+    code = main(["--scenario", "fig4", "--metric", "secrecy_outage", "--r-s", "0",
+                 "--samples", "20000", "--snr", "0:25:5", "--out", str(tmp_path)])
+    assert code == 0
+    assert "FAIL" not in (tmp_path / "fig4_report.txt").read_text()
+    rows = read_csv(tmp_path / "fig4_rs1_secrecy_outage.csv")
+    at_0db = {r["method"]: r["value"] for r in rows if r["snr_db"] == 0.0}
+    assert at_0db["analytic"] > 0.999 and at_0db["mc"] > 0.999
+
+
+@pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+def test_outage_rate_at_zero_target_is_rejected_by_both_routes(tmp_path, capsys, mode):
+    """Closed form and Monte Carlo derive an outage rate the same way, so
+    neither writes a (1 - P) * 0 row."""
+    code = main(["--scenario", "fig4", "--metric", "outage_rate_secrecy", "--r-s", "0",
+                 "--snr", "10", "--na", "50", "--samples", "1000", "--mode", mode,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "outage_rate_secrecy needs a positive r_s target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["out", "out/deeper"])
+def test_main_unwritable_output_is_a_config_error(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--snr", "10",
+                 "--out", str(blocker / sub)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and "Traceback" not in err
+
+
+def test_main_unwritable_report_is_a_config_error(tmp_path, capsys):
+    """The report file is checked like the CSVs: here its path is a directory."""
+    (tmp_path / "fig1_report.txt").mkdir()
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--snr", "10",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_main_end_to_end_pass(tmp_path):
     code = main(["--scenario", "fig1", "--samples", "40000", "--snr", "8:16:8",
                  "--out", str(tmp_path)])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
-from nomacast.montecarlo import (EQUAL_GAIN, MRT, RANDOM, MetricKind, SimulationPlan,
-                                 _chunk_moments, _FIELDS, _gain_moments,
+from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
+                                 SimulationPlan, _chunk_moments, _FIELDS, _gain_moments,
                                  _metric_estimate, compare_secrecy_rates, estimate,
                                  estimate_many, scheduling_check, sweep)
 from nomacast.rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, RngStream,
@@ -216,8 +216,8 @@ def test_secrecy_comparison_all_multicast_regime():
 def test_secrecy_comparison_gap_nonnegative_at_high_snr():
     cfg = LinkConfig(rho=1.0, r_m=1.0, r_u=6.0)
     for snr_db in (10.0, 20.0, 30.0):
-        cmp = compare_secrecy_rates(cfg, (4, 6), SimulationPlan(100_000, seed=15),
-                                    rho_db=snr_db)
+        cmp = compare_secrecy_rates(replace(cfg, rho=10.0 ** (snr_db / 10.0)), (4, 6),
+                                    SimulationPlan(100_000, seed=15))
         assert cmp.mean_gap.value >= -3 * cmp.mean_gap.stderr
 
 
@@ -274,15 +274,15 @@ def _oracle_moments(cfg, realizations):
         gap = out.noma_secrecy - out.oma_secrecy
         row = {
             "multicast_outage": out.multicast_outage,
-            "noma_unicast_outage": out.unicast_outage,
-            "oma_unicast_outage": out.oma_unicast < cfg.r_u,
-            "noma_secrecy_outage": out.secrecy_outage,
-            "oma_secrecy_outage": out.oma_secrecy < cfg.r_s,
+            "unicast_outage": out.unicast_outage,
+            "unicast_outage_oma": out.oma_unicast < cfg.r_u,
+            "secrecy_outage": out.secrecy_outage,
+            "secrecy_outage_oma": out.oma_secrecy <= cfg.r_s,
             "noma_trails_oma": out.noma_unicast <= out.oma_unicast + RATE_EQ_GUARD,
-            "noma_unicast_rate": out.noma_unicast,
-            "oma_unicast_rate": out.oma_unicast,
-            "noma_secrecy_rate": out.noma_secrecy,
-            "oma_secrecy_rate": out.oma_secrecy,
+            "mean_noma_unicast_rate": out.noma_unicast,
+            "mean_oma_unicast_rate": out.oma_unicast,
+            "mean_noma_secrecy_rate": out.noma_secrecy,
+            "mean_oma_secrecy_rate": out.oma_secrecy,
             "secrecy_gap": gap,
             "secrecy_violation": gap < -RATE_EQ_GUARD,
             "sched_ok": g.z1 >= g.u,
@@ -313,34 +313,52 @@ def test_batch_engine_matches_per_realization_api(plan):
 
 def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
     """All K gains i.i.d., so the unicast user's own gain is often the weakest
-    (rare in the window plans above, where z1 ~ Gamma(M))."""
+    (rare in the window plans above, where z1 ~ Gamma(M)).  At r_s = 0 about
+    a fifth of the realizations are all-multicast, with no secrecy rate."""
     z = RngStream(43).exponential((2000, 5)) * 0.5
     z_oma = RngStream(44).exponential((2000, 5)) * 0.5
-    n, [sums], [sumsqs] = _gain_moments([CFG], z[:, 0], z[:, 1:], z_oma[:, 0],
-                                        z_oma[:, 1:])
-    ref_sums, ref_sumsqs = _oracle_moments(
-        CFG, ((gains(a[0], a[1:]), gains(b[0], b[1:])) for a, b in zip(z, z_oma)))
-    assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
-    assert np.allclose(sumsqs, ref_sumsqs, rtol=1e-10, atol=1e-12)
+    for cfg in (CFG, replace(CFG, r_s=0.0)):
+        n, [sums], [sumsqs] = _gain_moments([cfg], z[:, 0], z[:, 1:], z_oma[:, 0],
+                                            z_oma[:, 1:])
+        ref_sums, ref_sumsqs = _oracle_moments(
+            cfg, ((gains(a[0], a[1:]), gains(b[0], b[1:])) for a, b in zip(z, z_oma)))
+        assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12), cfg
+        assert np.allclose(sumsqs, ref_sumsqs, rtol=1e-10, atol=1e-12), cfg
+
+
+def test_every_metric_is_a_kernel_field_or_an_outage_rate_of_one():
+    """Each metric has one definition: the kernel field of its name, or (1 - P)
+    times a target where P is such a field."""
+    for metric in MetricKind:
+        source, attr = OUTAGE_RATE_OF.get(metric, (metric, None))
+        assert source.value in _FIELDS and source not in OUTAGE_RATE_OF, metric
+        assert (metric.value in _FIELDS) == (attr is None), metric
+    checks = set(_FIELDS) - {metric.value for metric in MetricKind}
+    assert checks == {"secrecy_gap", "secrecy_violation", "sched_ok"}
 
 
 @settings(derandomize=True, deadline=None)
-@given(z1=st.floats(1e-6, 100.0), others=st.lists(st.floats(1e-6, 100.0), min_size=1,
-                                                  max_size=10),
-       snr_db=st.floats(-10.0, 60.0), step_db=st.floats(0.0, 20.0),
+@given(z1=st.floats(1e-2, 100.0), others=st.lists(st.floats(1e-2, 100.0), min_size=1,
+                                                  max_size=9),
+       lo_db=st.floats(-40.0, 20.0), step_db=st.floats(0.05, 5.0),
        r_m=st.floats(0.1, 4.0), r_u=st.floats(0.1, 12.0))
-def test_outage_indicators_nonincreasing_in_snr(z1, others, snr_db, step_db, r_m, r_u):
-    """For one realization the multicast and NOMA unicast outage indicators do
-    not increase as rho grows, and 0 <= alpha_U^2 < 1/(1 + eps_m)."""
+def test_outage_indicators_nonincreasing_in_snr(z1, others, lo_db, step_db, r_m, r_u):
+    """The multicast and NOMA unicast outage indicators of one realization do
+    not increase along an SNR grid up to 80 dB, and 0 <= alpha_U^2 < 1/(1 + eps_m).
+
+    With gains in [0.01, 100] both thresholds lie below 80 dB, so an indicator
+    that starts at 1 falls to 0 inside the grid.  Bounded gains also keep the
+    strict upper bound on alpha_U^2 from being lost to rounding.
+    """
     z1, others = np.array([z1]), np.array([others])
-    fields = [_FIELDS.index("multicast_outage"), _FIELDS.index("noma_unicast_outage")]
-    outages = []
-    for db in (snr_db, snr_db + step_db):
-        cfg = LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
+            for db in np.arange(lo_db, 80.0, step_db)]
+    for cfg in cfgs:
         alpha_u2 = power_fraction(min(z1[0], others.min()), cfg)
         assert 0.0 <= alpha_u2 < 1.0 / (1.0 + cfg.eps_m)
-        outages.append(_gain_moments([cfg], z1, others, z1, others)[1][0, fields])
-    assert np.all(outages[1] <= outages[0])
+    fields = [_FIELDS.index("multicast_outage"), _FIELDS.index("unicast_outage")]
+    _, sums, _ = _gain_moments(cfgs, z1, others, z1, others)
+    assert np.all(np.diff(sums[:, fields], axis=0) <= 0)
 
 
 @settings(derandomize=True, deadline=None)
@@ -349,26 +367,46 @@ def test_outage_indicators_nonincreasing_in_snr(z1, others, snr_db, step_db, r_m
        ratios=st.tuples(st.floats(0.25, 16.0), st.floats(0.25, 16.0)),
        same_beam=st.booleans(), lo_db=st.floats(-10.0, 20.0),
        step_db=st.floats(0.05, 5.0), r_m=st.floats(0.1, 4.0),
-       r_u=st.floats(0.1, 12.0), r_s=st.floats(0.01, 4.0))
+       r_u=st.floats(0.1, 12.0), r_s=st.floats(0.0, 4.0))
 def test_secrecy_outage_indicators_nonincreasing_in_snr(others, ratios, same_beam, lo_db,
                                                          step_db, r_m, r_u, r_s):
-    """For r_s > 0 the NOMA and OMA secrecy outage indicators of one
+    """For every r_s >= 0 the NOMA and OMA secrecy outage indicators of one
     realization do not increase along an SNR grid up to 60 dB.
 
     z1 is a multiple of 2^r_s times the strongest other gain, so in about
     half the examples an indicator falls from 1 to 0 inside the grid.  The
     OMA secrecy rate is a difference of two rounded logs, so a step far below
-    0.05 dB could flip an indicator sitting within an ulp of r_s.
+    0.05 dB could flip an indicator sitting within an ulp of r_s.  At r_s = 0
+    a realization with no positive secrecy rate (all power on the multicast
+    layer, or z1 <= v) is an outage, as it is for r_s > 0.
     """
     others = np.array(others).T[:, None, :]  # (MRT, OMA beam) x 1 realization x K-1
     z1 = np.array(ratios)[:, None] * 2.0 ** r_s * others.max(axis=2)
     gains = (z1[0], others[0])
     gains_oma = gains if same_beam else (z1[1], others[1])  # same objects: the MRT path
-    fields = [_FIELDS.index("noma_secrecy_outage"), _FIELDS.index("oma_secrecy_outage")]
+    fields = [_FIELDS.index("secrecy_outage"), _FIELDS.index("secrecy_outage_oma")]
     cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u, r_s)
             for db in np.arange(lo_db, 60.0, step_db)]
     _, sums, _ = _gain_moments(cfgs, *gains, *gains_oma)
     assert np.all(np.diff(sums[:, fields], axis=0) <= 0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(others=st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=9),
+       excess=st.floats(0.0, 100.0), lo_db=st.floats(-10.0, 20.0),
+       r_m=st.floats(0.1, 4.0), r_u=st.floats(0.1, 12.0))
+def test_noma_unicast_rate_not_below_oma_when_unicast_user_is_not_weakest(
+        others, excess, lo_db, r_m, r_u):
+    """Under one beam, z1 >= u gives a NOMA unicast rate at least the OMA one,
+    up to RATE_EQ_GUARD: at z1 = u the two are equal in exact arithmetic."""
+    others = np.array([others])
+    z1 = others.min(axis=1) * (1.0 + excess)
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
+            for db in np.arange(lo_db, 60.0, 2.5)]
+    _, sums, _ = _gain_moments(cfgs, z1, others, z1, others)
+    noma = sums[:, _FIELDS.index("mean_noma_unicast_rate")]
+    oma = sums[:, _FIELDS.index("mean_oma_unicast_rate")]
+    assert np.all(noma >= oma - RATE_EQ_GUARD)
 
 
 def test_rejects_too_few_users():

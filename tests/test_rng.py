@@ -72,12 +72,6 @@ def test_transform_moments():
     assert abs(e.mean() - 1.0) < 0.01
 
 
-def test_complex_normal_unit_variance():
-    z = RngStream(23).complex_normal(100_000)
-    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
-    assert abs(z.mean()) < 0.02
-
-
 def test_spawn_matches_fresh_stream():
     assert np.array_equal(RngStream(9).spawn(42).raw(8), RngStream(9, 42).raw(8))
 

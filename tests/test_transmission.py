@@ -200,7 +200,9 @@ def test_evaluate_link_multicast_outage_zeroes_rates():
     assert out.multicast_outage
     assert out.noma_unicast == 0.0 and out.oma_unicast == 0.0
     assert out.noma_secrecy == 0.0 and out.oma_secrecy == 0.0
-    assert out.secrecy_outage  # r_s > 0 makes all-multicast a secrecy outage
+    assert out.secrecy_outage  # no positive secrecy rate is a secrecy outage
+    at_zero_target = LinkConfig(CFG.rho, CFG.r_m, CFG.r_u, r_s=0.0)
+    assert evaluate_link(gains(3.0, [0.05]), at_zero_target).secrecy_outage  # also at r_s = 0
 
 
 def test_evaluate_link_rates_nonnegative():
