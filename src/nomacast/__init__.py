@@ -4,8 +4,7 @@ evaluation cross-validating each other."""
 
 from .analysis import (AnalysisParams, QuadratureRule, SecrecyOutageResult,
                        UnicastOutageResult, UnsupportedAnalyticsError,
-                       adaptive_integrate, chebyshev_rule, incomplete_gamma_int,
-                       joint_minmax_pdf, multicast_outage_prob,
+                       chebyshev_rule, joint_minmax_pdf, multicast_outage_prob,
                        noma_rate_advantage, noma_shortfall_bound,
                        secrecy_outage_prob, unicast_outage_bounds,
                        unicast_outage_prob)
@@ -22,10 +21,9 @@ __all__ = [
     "AnalysisParams", "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate",
     "LinkConfig", "MRT", "MetricKind", "QuadratureRule", "RANDOM",
     "RngStream", "SecrecyComparison", "SecrecyOutageResult", "SimulationPlan",
-    "UnicastOutageResult", "UnsupportedAnalyticsError", "adaptive_integrate",
-    "chebyshev_rule", "compare_secrecy_rates", "estimate", "estimate_many",
-    "incomplete_gamma_int", "joint_minmax_pdf", "multicast_outage_prob",
-    "noma_rate_advantage", "noma_shortfall_bound", "scheduling_check",
-    "secrecy_outage_prob", "sweep", "unicast_outage_bounds",
-    "unicast_outage_prob",
+    "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule",
+    "compare_secrecy_rates", "estimate", "estimate_many", "joint_minmax_pdf",
+    "multicast_outage_prob", "noma_rate_advantage", "noma_shortfall_bound",
+    "scheduling_check", "secrecy_outage_prob", "sweep",
+    "unicast_outage_bounds", "unicast_outage_prob",
 ]

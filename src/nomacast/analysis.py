@@ -24,6 +24,10 @@ from .transmission import LinkConfig
 # while leaving all representable values exact.
 _GAMMA_ARG_CAP = 1e4
 
+# Elements per block of the nested secrecy quadrature grid: a block's
+# temporaries (128 KiB each) fit in a core's L2 cache.
+_GRID_BLOCK = 1 << 14
+
 
 class UnsupportedAnalyticsError(ValueError):
     """A closed-form expression does not cover the requested configuration."""
@@ -43,8 +47,10 @@ def _upper_reg(shape: int, x) -> np.ndarray:
     xc = np.minimum(x, _GAMMA_ARG_CAP)
     p = np.ones_like(xc)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(shape - 1, 0, -1):
-            p = 1.0 + p * xc / m
+        for m in range(shape - 1, 0, -1):  # p = 1 + p*xc/m, in place
+            p *= xc
+            p /= m
+            p += 1.0
         out = np.exp(-xc) * p
     if shape > 100:
         out = np.where(np.isfinite(out), out, gammaincc(shape, xc))
@@ -53,20 +59,6 @@ def _upper_reg(shape: int, x) -> np.ndarray:
 
 def _lower_reg(shape: int, x) -> np.ndarray:
     return 1.0 - _upper_reg(shape, x)
-
-
-def incomplete_gamma_int(shape: int, x):
-    """Upper and lower incomplete gamma at integer shape.
-
-    Returns ``(upper, lower)`` with upper + lower = (shape-1)!.
-    """
-    if shape < 1:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be nonnegative")
-    fact = float(math.factorial(shape - 1))
-    upper = _upper_reg(shape, x) * fact
-    return upper, fact - upper
 
 
 # --- quadrature ---------------------------------------------------------------
@@ -97,44 +89,6 @@ def _cheb_integral(rule: QuadratureRule, lo: float, hi: float, f) -> float:
     half = 0.5 * (hi - lo)
     t = half * rule.nodes + 0.5 * (hi + lo)
     return float(np.sum(rule.weights * half * f(t) * np.sqrt(1.0 - rule.nodes**2)))
-
-
-def adaptive_integrate(f, lo: float, hi: float, tol: float = 1e-8,
-                       max_depth: int = 48) -> float:
-    """Adaptive Simpson integration down to an absolute tolerance.
-
-    ``f`` must accept numpy arrays.  An infinite upper limit is mapped to a
-    finite interval through x = lo + t/(1-t).  Raises RuntimeError if some
-    subinterval still fails its share of the tolerance after ``max_depth``
-    rounds of bisection.
-    """
-    if hi == np.inf:
-        def mapped(t):
-            t = np.asarray(t, dtype=np.float64)
-            x = lo + t / (1.0 - t)
-            return f(x) / (1.0 - t) ** 2
-        return adaptive_integrate(mapped, 0.0, 1.0 - 1e-12, tol, max_depth)
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    length = hi - lo
-    a = np.array([lo], dtype=np.float64)
-    b = np.array([hi], dtype=np.float64)
-    total = 0.0
-    for _ in range(max_depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fa, fm, fb, flm, frm = f(a), f(m), f(b), f(lm), f(rm)
-        coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        fine = (b - a) / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
-        done = np.abs(fine - coarse) / 15.0 <= tol * (b - a) / length
-        total += float(np.sum(fine[done]))
-        if np.all(done):
-            return total
-        keep = ~done
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-    raise RuntimeError(f"adaptive integration did not converge; {len(a)} intervals "
-                       f"above tolerance after {max_depth} refinement rounds")
 
 
 # --- parameter bundle ---------------------------------------------------------
@@ -367,24 +321,43 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     mass region at every SNR; the reciprocal-axis form spreads them over
     an interval that grows like the SNR and starves the mass region.
     Inner axis: the smallest other gain u on [eps_m/rho, v].
+
+    The grid is evaluated in blocks of outer-axis rows of about
+    ``_GRID_BLOCK`` elements.  Built whole, each of its two dozen
+    temporaries holds na^2 doubles (2 MB at na = 500), so every
+    elementwise pass streams through main memory; a block's temporaries
+    stay in cache.  The final sums stay unblocked: each block writes its
+    weighted d4 and d6 into one full (na, na) array per integral, and one
+    ``np.sum`` over each adds the same values in the same pairwise order
+    as the whole-grid evaluation, so q4 and q6 keep every bit.  Summing per
+    block and adding the partial sums would round differently.
     """
     thr = p.eps_m / p.rho
     cap = _minmax_tail_cap(p)
     t = rule.nodes  # both axes use the same rule
+    n = rule.order
     v = 0.5 * (cap - thr) * t + 0.5 * (cap + thr)
     half = 0.5 * (v - thr)
-    u = half[:, None] * t[None, :] + 0.5 * (v[:, None] + thr)
-    pdf = joint_minmax_pdf(u, v[:, None], p.k)
     scaled_v = (1.0 + p.eps_s) * v[:, None]  # 2^r_s * v
-    with np.errstate(divide="ignore", over="ignore"):
-        shift = p.xi / (1.0 - thr / u)
-    d4 = _upper_reg(p.m, scaled_v) - _upper_reg(p.m, np.minimum(scaled_v + shift,
-                                                                _GAMMA_ARG_CAP))
-    d6 = _lower_reg(p.m, scaled_v) - _lower_reg(p.m, u)
+    upper_v = _upper_reg(p.m, scaled_v)
+    lower_v = _lower_reg(p.m, scaled_v)
     inner = rule.weights * np.sqrt(1.0 - t**2)
     outer = inner * 0.5 * (cap - thr) * half
-    weight = outer[:, None] * inner[None, :] * pdf
-    return float(np.sum(weight * d4)), float(np.sum(weight * d6))
+    w4 = np.empty((n, n))
+    w6 = np.empty((n, n))
+    rows = max(1, _GRID_BLOCK // n)
+    for r in range(0, n, rows):
+        b = slice(r, r + rows)
+        u = half[b, None] * t + 0.5 * (v[b, None] + thr)
+        weight = outer[b, None] * inner * joint_minmax_pdf(u, v[b, None], p.k)
+        with np.errstate(divide="ignore", over="ignore"):
+            shift = p.xi / (1.0 - thr / u)
+        d4 = upper_v[b] - _upper_reg(p.m, np.minimum(scaled_v[b] + shift,
+                                                     _GAMMA_ARG_CAP))
+        d6 = lower_v[b] - _lower_reg(p.m, u)
+        np.multiply(weight, d4, out=w4[b])
+        np.multiply(weight, d6, out=w6[b])
+    return float(np.sum(w4)), float(np.sum(w6))
 
 
 def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,

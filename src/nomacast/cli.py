@@ -388,6 +388,17 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **updates) if updates else scenario
 
 
+def _collapse_identical(scenarios, run_name: str):
+    """One variant, named after the run, when the overrides made all identical.
+
+    A preset's variants differ in one field (r_s, scheduling or the OMA
+    beamformer); overriding that field leaves copies that would repeat the
+    same work under misleading names.
+    """
+    runs = {replace(s, name=run_name) for s in scenarios}
+    return list(runs) if len(runs) == 1 else scenarios
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nomacast",
@@ -422,7 +433,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenarios, run_name = resolve_scenarios(args.scenario, args.config)
-        scenarios = [_apply_overrides(s, args).validate() for s in scenarios]
+        scenarios = _collapse_identical(
+            [_apply_overrides(s, args).validate() for s in scenarios], run_name)
         reports = []
         for scenario in scenarios:
             report, paths = run_scenario(scenario, out_dir=args.out,

@@ -17,16 +17,15 @@ import numpy as np
 import pytest
 from scipy import special
 
-from nomacast.analysis import (AnalysisParams, adaptive_integrate,
-                               chebyshev_rule, incomplete_gamma_int,
-                               joint_minmax_pdf, noma_rate_advantage,
-                               noma_shortfall_bound, secrecy_outage_prob,
-                               unicast_outage_prob)
+from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
+                               noma_rate_advantage, noma_shortfall_bound,
+                               secrecy_outage_prob, unicast_outage_prob)
 from nomacast.montecarlo import (MetricKind, SimulationPlan,
                                  compare_secrecy_rates, estimate, estimate_many,
                                  scheduling_check, sweep)
 from nomacast.rng import DOMAIN_DIRECT_GAINS, RngStream, bits_to_exponential, window_bits
 from nomacast.transmission import LinkConfig, power_fraction, time_fraction
+from numeric_oracle import adaptive_integrate, incomplete_gamma_int
 
 DATA_DIR = Path(__file__).parent / "data"
 

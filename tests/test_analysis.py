@@ -5,12 +5,13 @@ import pytest
 from scipy import special
 
 import link_oracle as oracle
+import secrecy_oracle
 from nomacast.analysis import (AnalysisParams, UnsupportedAnalyticsError,
-                               adaptive_integrate, chebyshev_rule,
-                               incomplete_gamma_int, joint_minmax_pdf,
+                               chebyshev_rule, joint_minmax_pdf,
                                multicast_outage_prob, noma_rate_advantage,
                                noma_shortfall_bound, secrecy_outage_prob,
                                unicast_outage_bounds, unicast_outage_prob)
+from numeric_oracle import adaptive_integrate, incomplete_gamma_int
 from nomacast.rng import RngStream
 from nomacast.transmission import LinkConfig
 
@@ -371,3 +372,40 @@ def test_secrecy_outage_refinement_delta():
 def test_secrecy_zero_target_drops_gap_branch():
     res = secrecy_outage_prob(params(10, 11, 20.0, r_s=0.0), chebyshev_rule(200))
     assert res.q4 == pytest.approx(0.0, abs=1e-12)
+
+
+# --- blocked secrecy quadrature vs the whole-grid oracle ---------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 101, 150, 300])
+def test_regularized_gamma_matches_oracle_bit_for_bit(m):
+    """The in-place Horner loop performs the oracle's operations in its order."""
+    from nomacast.analysis import _upper_reg
+    x = np.concatenate([np.linspace(0.0, 50.0, 1001), np.logspace(-6, 6, 601),
+                        [1e4, np.inf]])
+    assert np.array_equal(_upper_reg(m, x), secrecy_oracle.upper_reg(m, x))
+    assert _upper_reg(m, 2.5) == secrecy_oracle.upper_reg(m, 2.5)
+
+
+# na = 7 and 33 fit in one block; at na = 500 the last block is ragged (500 = 15 x 32 + 20)
+@pytest.mark.parametrize("na", [7, 33, 500])
+@pytest.mark.parametrize("m", [1, 2, 10, 150])  # 150 takes the gammaincc fallback
+def test_secrecy_quadrature_matches_whole_grid_oracle(m, na):
+    """Blocking the grid changes no bit of q4 or q6."""
+    from nomacast.analysis import _secrecy_q4_q6
+    rule = chebyshev_rule(na)
+    for k in (3, 11):
+        for r_s in (0.0, 2.0):
+            for snr in (0.0, 20.0, 60.0):
+                p = params(m, k, snr, r_s=r_s)
+                assert _secrecy_q4_q6(p, rule) == secrecy_oracle.secrecy_q4_q6(p, rule)
+
+
+@pytest.mark.parametrize("m, na", [(10, 7), (10, 33), (150, 33), (10, 500)])
+def test_secrecy_refinement_matches_whole_grid_oracle(m, na):
+    """check_refinement reruns the doubled grid; its delta is bit-identical too."""
+    p = params(m, 11, 20.0, r_s=2.0)
+    res = secrecy_outage_prob(p, chebyshev_rule(na), check_refinement=True)
+    q4, q6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(na))
+    f4, f6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(2 * na))
+    assert (res.q4, res.q6) == (q4, q6)
+    assert res.refinement_delta == abs(q4 + res.q5 + q6 - (f4 + res.q5 + f6))

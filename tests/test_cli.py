@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -190,9 +191,30 @@ def test_secrecy_outage_at_zero_target_matches_closed_form(tmp_path):
                  "--samples", "20000", "--snr", "0:25:5", "--out", str(tmp_path)])
     assert code == 0
     assert "FAIL" not in (tmp_path / "fig4_report.txt").read_text()
-    rows = read_csv(tmp_path / "fig4_rs1_secrecy_outage.csv")
+    rows = read_csv(tmp_path / "fig4_secrecy_outage.csv")
     at_0db = {r["method"]: r["value"] for r in rows if r["snr_db"] == 0.0}
     assert at_0db["analytic"] > 0.999 and at_0db["mc"] > 0.999
+
+
+@pytest.mark.parametrize("preset, override, variants", [
+    ("fig4", ["--r-s", "0"], ["fig4"]),
+    ("fig2", ["--scheduling", "on"], ["fig2"]),
+    ("fig3", ["--oma-beamformer", "mrt"], ["fig3"]),
+    ("fig5", ["--scheduling", "off"], ["fig5"]),
+    ("fig4", ["--r-m", "1.5"], ["fig4_rs1", "fig4_rs2", "fig4_rs3"]),
+])
+def test_override_that_makes_variants_identical_runs_one(tmp_path, preset, override,
+                                                          variants):
+    """Variants an override makes identical run once, named after the preset."""
+    metric = "secrecy_outage" if preset in ("fig4", "fig5") else "unicast_outage"
+    code = main(["--scenario", preset, "--metric", metric, *override, "--mode", "mc",
+                 "--samples", "1000", "--snr", "10", "--out", str(tmp_path)])
+    assert code == 0
+    report = (tmp_path / f"{preset}_report.txt").read_text()
+    assert [line.split(":")[0] for line in report.splitlines()
+            if line.startswith("scenario ")] == [f"scenario {v}" for v in variants]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        f"{v}_{metric}.csv" for v in variants]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
@@ -334,3 +356,16 @@ def test_fig3_equal_and_random_beams_write_identical_rows(tmp_path):
     assert [p.name.replace("equal", "random") for p in paths_e] == [p.name for p in paths_r]
     for pe, pr in zip(paths_e, paths_r):
         assert pe.read_bytes() == pr.read_bytes()
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig4"])
+def test_analytic_csvs_match_golden_files(tmp_path, preset):
+    """The preset closed forms reproduce the stored CSVs byte for byte."""
+    assert main(["--scenario", preset, "--mode", "analytic", "--out", str(tmp_path)]) == 0
+    golden = sorted(GOLDEN_DIR.glob(f"{preset}_*.csv"))
+    assert [p.name for p in golden] == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
