@@ -12,7 +12,6 @@ from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
                          MetricKind, SecrecyComparison, SimulationPlan,
                          compare_secrecy_rates, estimate, estimate_many,
                          scheduling_check, sweep)
-from .rng import RngStream
 from .transmission import LinkConfig
 
 __version__ = "0.1.0"
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisParams", "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate",
     "LinkConfig", "MRT", "MetricKind", "QuadratureRule", "RANDOM",
-    "RngStream", "SecrecyComparison", "SecrecyOutageResult", "SimulationPlan",
+    "SecrecyComparison", "SecrecyOutageResult", "SimulationPlan",
     "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule",
     "compare_secrecy_rates", "estimate", "estimate_many", "joint_minmax_pdf",
     "multicast_outage_prob", "noma_rate_advantage", "noma_shortfall_bound",

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .transmission import LinkConfig
 
@@ -53,6 +52,7 @@ def _upper_reg(shape: int, x) -> np.ndarray:
             p += 1.0
         out = np.exp(-xc) * p
     if shape > 100:
+        from scipy.special import gammaincc  # imported only here: scipy is slow to load
         out = np.where(np.isfinite(out), out, gammaincc(shape, xc))
     return out
 

@@ -8,8 +8,8 @@ plus a text report comparing analytic and Monte Carlo values wherever both
 exist.
 
 Exit codes: 0 all comparisons pass (or nothing to compare), 1 a comparison
-failed, 2 configuration error, 3 analytics unsupported for the request,
-4 internal error (an unexpected exception, reported in one line).
+failed, 2 configuration error, 3 analytics unsupported for every variant of
+the request, 4 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -233,7 +233,11 @@ def read_csv(path):
 
 def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                  workers: int = 1):
-    """Execute one scenario variant; returns (report, list of CSV paths)."""
+    """Execute one scenario variant; returns (report, list of CSV paths).
+
+    A metric without a closed form gets no analytic rows; in analytic mode a
+    variant with none at all writes no CSV and says so in a report note.
+    """
     scenario.validate()
     if mode not in ("analytic", "mc", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
@@ -264,8 +268,6 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                     closed[kind] = analytic_value(kind, cfg, scenario.m, scenario.k,
                                                   scenario.na, scenario.scheduling)
                 except UnsupportedAnalyticsError as exc:
-                    if mode == "analytic":
-                        raise
                     if str(exc) not in report.notes:
                         report.notes.append(str(exc))
             p = closed.get(kind)
@@ -287,10 +289,10 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
             if noma_metric in mc and oma_metric in mc:
                 report.gaps.append((snr_db, label,
                                     mc[noma_metric].value - mc[oma_metric].value))
-    if mode == "analytic" and not any(csv_rows.values()):
-        raise UnsupportedAnalyticsError(
+    if mode == "analytic" and not any(csv_rows.values()) and not report.notes:
+        report.notes.append(
             f"no closed form applies to scenario {scenario.name!r} "
-            f"(scheduling={'on' if scenario.scheduling else 'off'})")
+            f"(scheduling={'on' if scenario.scheduling else 'off'}); variant skipped")
 
     paths = [emit_csv(rows, Path(out_dir) / f"{scenario.name}_{metric.value}.csv")
              for metric, rows in csv_rows.items() if rows]
@@ -435,13 +437,17 @@ def main(argv=None) -> int:
         scenarios, run_name = resolve_scenarios(args.scenario, args.config)
         scenarios = _collapse_identical(
             [_apply_overrides(s, args).validate() for s in scenarios], run_name)
-        reports = []
+        reports, wrote = [], False
         for scenario in scenarios:
             report, paths = run_scenario(scenario, out_dir=args.out,
                                          mode=args.mode, workers=args.workers)
             reports.append(report)
+            wrote = wrote or bool(paths)
             for p in paths:
                 print(f"wrote {p}")
+        if args.mode == "analytic" and not wrote:  # no variant has a closed form
+            raise UnsupportedAnalyticsError(
+                "; ".join(dict.fromkeys(note for r in reports for note in r.notes)))
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"
         try:

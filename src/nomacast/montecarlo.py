@@ -18,11 +18,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from . import transmission as tx
-from .rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, bits_to_exponential,
+from .rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
                   bits_to_uniform, window_bits)
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
@@ -63,13 +64,6 @@ OUTAGE_RATE_OF = {
     MetricKind.OUTAGE_RATE_SECRECY: (MetricKind.SECRECY_OUTAGE, "r_s"),
     MetricKind.OUTAGE_RATE_SECRECY_OMA: (MetricKind.SECRECY_OUTAGE_OMA, "r_s"),
 }
-
-# the metric fields, then three fields that only the checks read
-_FIELDS = ("multicast_outage", "unicast_outage", "unicast_outage_oma",
-           "secrecy_outage", "secrecy_outage_oma", "noma_trails_oma",
-           "mean_noma_unicast_rate", "mean_oma_unicast_rate", "mean_noma_secrecy_rate",
-           "mean_oma_secrecy_rate", "secrecy_gap", "secrecy_violation", "sched_ok")
-
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -116,25 +110,48 @@ class SecrecyComparison:
     mean_gap: Estimate
 
 
+def _min_max(others):
+    """Row-wise min and max of an (n, K-1) array, reduced over its (K-1, n)
+    transpose: elementwise across K-1 contiguous rows, and exact in any order."""
+    cols = np.ascontiguousarray(others.T)
+    return cols.min(axis=0), cols.max(axis=0)
+
+
 def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
-    """(z1, others, z1_oma, others_oma) for windows [first, first + n).
+    """(z1, u, v, z1_oma, u_oma, v_oma) for windows [first, first + n): the
+    unicast user's gain and the smallest (u) and largest (v) of the other
+    users' gains, under the MRT beam and under the OMA beam.
 
     A CN(0, I_M) row is its Gamma(M) squared norm times an isotropic
-    direction, and scheduling sees only norms.  In the basis (MRT beam, OMA
-    beam's part orthogonal to it, rest) a user's squared coordinates are a,
-    b ~ Exp(1) and a Gamma(M-2) remainder with a uniform relative phase; the
-    unicast user's a is its OMA gain, so |c|^2 = a_sel / z1 ~ Beta(1, M-1)
-    for an equal-gain or random beam alike.  With M = 1 every beam is MRT.
-    Window layouts: unscheduled MRT, z1's m exponentials then the others';
-    scheduled, m rows of k exponentials (a, b, remainders) then k phases;
-    otherwise z1's m exponentials, the others' a and b, then k - 1 phases.
+    direction, and scheduling sees only norms.  Unscheduled with one beam
+    (MRT, or M = 1), z1 ~ Gamma(M) is -log of a product of M uniforms and
+    the other users' gains are K - 1 independent unit exponentials, so by
+    Renyi's representation u = Exp(1)/(K-1) and v - u is the largest of
+    K - 2 more (Devroye 1986, ch. V and IX): M + 2 words per realization.
+    Otherwise, in the basis (MRT beam, OMA beam's part orthogonal to it,
+    rest) a user's squared coordinates are a, b ~ Exp(1) and a Gamma(M-2)
+    remainder with a uniform relative phase; the unicast user's a is its OMA
+    gain, so |c|^2 = a_sel / z1 ~ Beta(1, M-1) for an equal-gain or random
+    beam alike.  Window layouts: unscheduled MRT, z1's m uniforms, then u's
+    and v's words; scheduled, m rows of k exponentials (a, b, remainders)
+    then k phases; otherwise z1's m exponentials, the others' a and b, then
+    k - 1 phases.
     """
     mrt = plan.oma_beamformer == MRT or m == 1
     if not plan.scheduling and mrt:
-        e = bits_to_exponential(
-            window_bits(plan.seed, DOMAIN_DIRECT_GAINS, first, n, m + k - 1))
-        z1, others = e[:, :m].sum(axis=1), e[:, m:]
-        return z1, others, z1, others
+        bits = window_bits(plan.seed, DOMAIN_GAIN_STATS, first, n, m + 2)
+        uni = bits_to_uniform(bits[:, :m])
+        # 18 uniforms multiply to at least 2^-972, so no product underflows
+        z1 = -np.log(uni[:, :18].prod(axis=1))
+        for i in range(18, m, 18):
+            z1 -= np.log(uni[:, i:i + 18].prod(axis=1))
+        u = bits_to_exponential(bits[:, m]) / (k - 1)
+        if k == 2:
+            return z1, u, u, z1, u, u
+        # the top words round U^(1/(K-2)) up to 1, where v would be infinite
+        w = bits_to_uniform(bits[:, m + 1]) ** (1.0 / (k - 2))
+        v = u - np.log1p(-np.minimum(w, 1.0 - 2.0**-53))
+        return z1, u, v, z1, u, v
     if plan.scheduling:
         bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, k * m + (0 if mrt else k))
         e = bits_to_exponential(bits[:, :k * m]).reshape(n, m, k)
@@ -143,7 +160,8 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
         z1, a_sel = norms[sel], e[:, 0][sel]
         others = e[:, 0][~sel].reshape(n, k - 1)
         if mrt:
-            return z1, others, z1, others
+            u, v = _min_max(others)
+            return z1, u, v, z1, u, v
         b = e[:, 1][~sel].reshape(n, k - 1)
         phase = bits_to_uniform(bits[:, k * m:][~sel]).reshape(n, k - 1)
     else:
@@ -156,65 +174,107 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
     c2 = (a_sel / z1)[:, None]
     x, y = np.sqrt(c2 * others), np.sqrt((1.0 - c2) * b)
     others_oma = x * x + y * y + 2.0 * x * y * np.cos(2.0 * np.pi * phase)
-    return z1, others, a_sel, others_oma
+    return (z1, *_min_max(others), a_sel, *_min_max(others_oma))
 
 
-def _gain_moments(cfgs, z1, others, z1_oma, others_oma):
-    """Batch size and (configs, fields) sums and squares of the outcomes; the
-    SNR-free min/max reductions run once per batch, the rest once per config.
+class _Outcomes:
+    """The per-realization quantities of one batch at one config.  Each is
+    computed on first use and kept as an attribute of the instance, so a
+    field that is not requested costs nothing and no reference cycle keeps
+    a chunk's arrays alive."""
+
+    def __init__(self, cfg, z1, u, v, z1_oma, v_oma, gmin, gmin_oma):
+        self.cfg, self.z1, self.u, self.v = cfg, z1, u, v
+        self.z1_oma, self.v_oma, self.gmin, self.gmin_oma = z1_oma, v_oma, gmin, gmin_oma
+
+    @cached_property
+    def alpha_u2(self):
+        return tx.power_fraction(self.gmin, self.cfg)
+
+    @cached_property
+    def gamma(self):
+        return tx.time_fraction(self.gmin_oma, self.cfg)
+
+    @cached_property
+    def r1_noma(self):
+        return tx.noma_rate(self.z1, self.alpha_u2, self.cfg)
+
+    @cached_property
+    def r1_oma(self):
+        return tx.oma_rate(self.z1_oma, self.gamma, self.cfg)
+
+    # rates increase with gain, so the strongest other user is the best eavesdropper
+    @cached_property
+    def rs_noma(self):
+        return tx.secrecy_rate(self.r1_noma, tx.noma_rate(self.v, self.alpha_u2, self.cfg))
+
+    @cached_property
+    def rs_oma(self):
+        return tx.secrecy_rate(self.r1_oma, tx.oma_rate(self.v_oma, self.gamma, self.cfg))
+
+    @cached_property
+    def gap(self):
+        return self.rs_noma - self.rs_oma
+
+
+# field name -> its per-realization value; the metric fields come first, then
+# three that only the checks read
+_FIELD_OF = {
+    "multicast_outage": lambda o: o.gmin < o.cfg.eps_m / o.cfg.rho,
+    "unicast_outage": lambda o: o.z1 * o.alpha_u2 < o.cfg.eps_u / o.cfg.rho,
+    "unicast_outage_oma": lambda o: o.r1_oma < o.cfg.r_u,
+    # no positive secrecy rate is an outage, even at r_s = 0
+    "secrecy_outage": lambda o: ((o.z1 - 2.0**o.cfg.r_s * o.v) * o.alpha_u2
+                                 <= o.cfg.eps_s / o.cfg.rho),
+    "secrecy_outage_oma": lambda o: o.rs_oma <= o.cfg.r_s,
+    "noma_trails_oma": lambda o: o.r1_noma <= o.r1_oma + RATE_EQ_GUARD,
+    "mean_noma_unicast_rate": lambda o: o.r1_noma,
+    "mean_oma_unicast_rate": lambda o: o.r1_oma,
+    "mean_noma_secrecy_rate": lambda o: o.rs_noma,
+    "mean_oma_secrecy_rate": lambda o: o.rs_oma,
+    "secrecy_gap": lambda o: o.gap,
+    "secrecy_violation": lambda o: o.gap < -RATE_EQ_GUARD,
+    "sched_ok": lambda o: o.z1 >= o.u,
+}
+_FIELDS = tuple(_FIELD_OF)
+
+
+def _field(metric: MetricKind) -> str:
+    """The kernel field a metric reads (see OUTAGE_RATE_OF)."""
+    return OUTAGE_RATE_OF.get(metric, (metric,))[0].value
+
+
+def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
+    """Batch size and (configs, fields) sums and squares of the named fields;
+    the SNR-free minima are formed once per batch, the rest once per config.
     A metric field's mean is the estimate of the metric of the same name."""
-    u, v = others.min(axis=1), others.max(axis=1)
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
-    mrt = z1_oma is z1 and others_oma is others  # the OMA beam sees the same gains
-    gmin_oma = gmin if mrt else np.minimum(z1_oma, others_oma.min(axis=1))
-    v_oma = v if mrt else others_oma.max(axis=1)
-    sums, sumsqs = np.empty((2, len(cfgs), len(_FIELDS)))
+    same_beam = z1_oma is z1 and u_oma is u  # the OMA beam sees the same gains
+    gmin_oma = gmin if same_beam else np.minimum(z1_oma, u_oma)
+    sums, sumsqs = np.empty((2, len(cfgs), len(fields)))
     for p, cfg in enumerate(cfgs):
-        alpha_u2 = tx.power_fraction(gmin, cfg)
-        gamma = tx.time_fraction(gmin_oma, cfg)
-        r1_noma = tx.noma_rate(z1, alpha_u2, cfg)
-        r1_oma = tx.oma_rate(z1_oma, gamma, cfg)
-        # rates increase with gain, so the strongest other user is the best eavesdropper
-        rs_noma = tx.secrecy_rate(r1_noma, tx.noma_rate(v, alpha_u2, cfg))
-        rs_oma = tx.secrecy_rate(r1_oma, tx.oma_rate(v_oma, gamma, cfg))
-        gap = rs_noma - rs_oma
-        fields = {
-            "multicast_outage": gmin < cfg.eps_m / cfg.rho,
-            "unicast_outage": z1 * alpha_u2 < cfg.eps_u / cfg.rho,
-            "unicast_outage_oma": r1_oma < cfg.r_u,
-            # no positive secrecy rate is an outage, even at r_s = 0
-            "secrecy_outage": (z1 - 2.0**cfg.r_s * v) * alpha_u2 <= cfg.eps_s / cfg.rho,
-            "secrecy_outage_oma": rs_oma <= cfg.r_s,
-            "noma_trails_oma": r1_noma <= r1_oma + RATE_EQ_GUARD,
-            "mean_noma_unicast_rate": r1_noma,
-            "mean_oma_unicast_rate": r1_oma,
-            "mean_noma_secrecy_rate": rs_noma,
-            "mean_oma_secrecy_rate": rs_oma,
-            "secrecy_gap": gap,
-            "secrecy_violation": gap < -RATE_EQ_GUARD,
-            "sched_ok": z1 >= u,
-        }
-        for i, name in enumerate(_FIELDS):
-            x = fields[name]  # an indicator is its own square, and its count is exact
+        outcomes = _Outcomes(cfg, z1, u, v, z1_oma, v_oma, gmin, gmin_oma)
+        for i, name in enumerate(fields):
+            x = _FIELD_OF[name](outcomes)  # an indicator is its own square, its count exact
             sums[p, i] = np.count_nonzero(x) if x.dtype == bool else x.sum()
             sumsqs[p, i] = sums[p, i] if x.dtype == bool else (x * x).sum()
     return len(z1), sums, sumsqs
 
 
 def _chunk_moments(args):
-    """Moments of the realizations in window indices [lo, hi) at every config."""
-    cfgs, m, k, plan, base, lo, hi = args
-    return _gain_moments(cfgs, *_sample_gains(m, k, plan, base + lo, hi - lo))
+    """Moments of the named fields over window indices [lo, hi) at every config."""
+    cfgs, fields, m, k, plan, base, lo, hi = args
+    return _gain_moments(cfgs, fields, *_sample_gains(m, k, plan, base + lo, hi - lo))
 
 
-def _run_moments(cfgs, system, plan: SimulationPlan, base: int):
-    """Sample count and per-config (sums, sums of squares) field dicts of a run."""
+def _run_moments(cfgs, fields, system, plan: SimulationPlan, base: int):
+    """Sample count and per-config (sums, sums of squares) dicts of the named fields."""
     m, k = system
     if k < 2:
         raise ValueError(f"need at least 2 users, got {k}")
     if m < 1:
         raise ValueError(f"need at least 1 antenna, got {m}")
-    chunks = [(cfgs, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
+    chunks = [(cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
               for lo in range(0, plan.samples, _CHUNK)]
     if plan.workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
@@ -222,8 +282,8 @@ def _run_moments(cfgs, system, plan: SimulationPlan, base: int):
     else:
         results = [_chunk_moments(c) for c in chunks]
     ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
-    zero = np.zeros((len(cfgs), len(_FIELDS)))
-    return sum(ns), [(dict(zip(_FIELDS, s)), dict(zip(_FIELDS, q)))
+    zero = np.zeros((len(cfgs), len(fields)))
+    return sum(ns), [(dict(zip(fields, s)), dict(zip(fields, q)))
                      for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
 
 
@@ -252,7 +312,7 @@ def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Es
 
 
 def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Estimate:
-    field = OUTAGE_RATE_OF.get(metric, (metric,))[0].value
+    field = _field(metric)
     # every field but a mean rate is a probability
     return derive_estimate(metric, cfg, _moment_estimate(
         n, sums[field], sumsqs[field], probability=not field.startswith("mean_")))
@@ -265,7 +325,8 @@ def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int =
     say an SNR grid (one dict per config, all on the same windows).
     """
     cfgs = [cfg] if isinstance(cfg, LinkConfig) else list(cfg)
-    n, points = _run_moments(cfgs, system, plan, stream_base)
+    fields = tuple(dict.fromkeys(_field(metric) for metric in metrics))
+    n, points = _run_moments(cfgs, fields, system, plan, stream_base)
     out = [{metric: _metric_estimate(metric, c, n, *moments) for metric in metrics}
            for c, moments in zip(cfgs, points)]
     return out[0] if isinstance(cfg, LinkConfig) else out
@@ -295,14 +356,15 @@ def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,
 
 def scheduling_check(cfg: LinkConfig, system, plan: SimulationPlan) -> Estimate:
     """Fraction of realizations with z1 >= u (must be 1.0 under scheduling)."""
-    n, [(sums, sumsqs)] = _run_moments([cfg], system, plan, 0)
+    n, [(sums, sumsqs)] = _run_moments([cfg], ("sched_ok",), system, plan, 0)
     return _moment_estimate(n, sums["sched_ok"], sumsqs["sched_ok"], probability=True)
 
 
 def compare_secrecy_rates(cfg: LinkConfig, system,
                           plan: SimulationPlan) -> SecrecyComparison:
     """Head-to-head NOMA vs OMA secrecy rates over shared realizations."""
-    n, [(sums, sumsqs)] = _run_moments([cfg], system, plan, 0)
+    n, [(sums, sumsqs)] = _run_moments([cfg], ("secrecy_violation", "secrecy_gap"),
+                                       system, plan, 0)
     violation = _moment_estimate(n, sums["secrecy_violation"],
                                  sumsqs["secrecy_violation"], probability=True)
     gap = _moment_estimate(n, sums["secrecy_gap"], sumsqs["secrecy_gap"],

@@ -4,7 +4,7 @@ The package itself never builds a channel matrix.  This module keeps that
 model for the tests: the single-realization API (sample a K x M Rayleigh
 channel, build a beamformer, project the rows onto it, schedule the
 strongest user) and ``full_matrix_gains``, its batched form, which returns
-the same four gain arrays as ``nomacast.montecarlo._sample_gains`` from its
+the same six gain arrays as ``nomacast.montecarlo._sample_gains`` from its
 own Philox key domain, so its samples are independent of the engine's.
 """
 
@@ -17,7 +17,8 @@ import numpy as np
 
 from link_oracle import Gains, gains
 from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM
-from nomacast.rng import RngStream, bits_to_normal, window_bits
+from nomacast.rng import window_bits
+from rng_stream import RngStream, bits_to_normal
 
 DOMAIN_FULL_MATRIX = (1 << 32) + 1
 _CHUNK = 1 << 14  # keeps the complex channel arrays small
@@ -148,8 +149,11 @@ def _chunk_gains(m, k, scheduling, oma_beamformer, seed, first, n):
 
 
 def full_matrix_gains(m, k, scheduling, oma_beamformer, seed, n):
-    """(z1, others, z1_oma, others_oma) of realizations 0..n-1."""
+    """(z1, u, v, z1_oma, u_oma, v_oma) of realizations 0..n-1: the unicast
+    user's gain and the smallest and largest other gain, under each beam."""
     parts = [_chunk_gains(m, k, scheduling, oma_beamformer, seed, lo,
                           min(_CHUNK, n - lo))
              for lo in range(0, n, _CHUNK)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    z1, others, z1_oma, others_oma = (np.concatenate(arrays) for arrays in zip(*parts))
+    return (z1, others.min(axis=1), others.max(axis=1),
+            z1_oma, others_oma.min(axis=1), others_oma.max(axis=1))

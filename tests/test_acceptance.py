@@ -23,9 +23,11 @@ from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
 from nomacast.montecarlo import (MetricKind, SimulationPlan,
                                  compare_secrecy_rates, estimate, estimate_many,
                                  scheduling_check, sweep)
-from nomacast.rng import DOMAIN_DIRECT_GAINS, RngStream, bits_to_exponential, window_bits
+from nomacast.rng import (DOMAIN_GAIN_STATS, bits_to_exponential, bits_to_uniform,
+                          window_bits)
 from nomacast.transmission import LinkConfig, power_fraction, time_fraction
 from numeric_oracle import adaptive_integrate, incomplete_gamma_int
+from rng_stream import RngStream
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -79,10 +81,10 @@ def test_c03_multicast_outage_identical_for_noma_and_oma():
     outages = 0
     for lo in range(0, n, 1 << 16):
         hi = min(lo + (1 << 16), n)
-        bits = window_bits(1003, DOMAIN_DIRECT_GAINS, lo, hi - lo, m + k - 1)
-        e = bits_to_exponential(bits)
-        z1, others = e[:, :m].sum(axis=1), e[:, m:]
-        gmin = np.minimum(z1, others.min(axis=1))
+        # the unscheduled MRT window: z1's m uniforms, then the word of u
+        bits = window_bits(1003, DOMAIN_GAIN_STATS, lo, hi - lo, m + 2)
+        z1 = -np.log(bits_to_uniform(bits[:, :m]).prod(axis=1))
+        gmin = np.minimum(z1, bits_to_exponential(bits[:, m]) / (k - 1))
         alpha = power_fraction(gmin, cfg)
         gamma = time_fraction(gmin, cfg)
         mismatches += int(np.count_nonzero((alpha == 0.0) != (gamma == 1.0)))

@@ -12,7 +12,7 @@ from nomacast.analysis import (AnalysisParams, UnsupportedAnalyticsError,
                                noma_shortfall_bound, secrecy_outage_prob,
                                unicast_outage_bounds, unicast_outage_prob)
 from numeric_oracle import adaptive_integrate, incomplete_gamma_int
-from nomacast.rng import RngStream
+from rng_stream import RngStream
 from nomacast.transmission import LinkConfig
 
 

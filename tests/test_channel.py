@@ -5,7 +5,7 @@ from scipy import stats
 from full_matrix_oracle import (effective_gains, make_beamformer, sample_channel,
                                 select_unicast_user)
 from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM
-from nomacast.rng import RngStream
+from rng_stream import RngStream
 
 N_STAT = 100_000
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import nomacast
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, read_csv,
@@ -20,6 +24,18 @@ def test_presets_resolvable_and_valid():
     assert [s.scheduling for s in PRESETS["fig5"]] == [False, True]
     assert [s.r_s for s in PRESETS["fig4"]] == [1.0, 2.0, 3.0]
     assert [s.oma_beamformer for s in PRESETS["fig3"]] == ["mrt", "equal", "random"]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is slow to import and only the large-shape gamma fallback needs it."""
+    src = Path(nomacast.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, nomacast.cli as cli; cli.resolve_scenarios('fig4'); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_parse_snr_grid():
@@ -160,6 +176,27 @@ def test_main_scheduling_analytic_exit_code(tmp_path, capsys):
     code = main(["--scenario", "fig1", "--scheduling", "on", "--mode", "analytic",
                  "--snr", "10", "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_main_analytic_skips_variants_without_closed_form(tmp_path, capsys):
+    """fig2_sched has no closed form: analytic mode writes fig2_nosched's rows and
+    a report that notes the skipped variant, and exits 0."""
+    code = main(["--scenario", "fig2", "--mode", "analytic", "--snr", "10,20",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "fig2_nosched_outage_rate_unicast.csv", "fig2_nosched_unicast_outage.csv"]
+    report = (tmp_path / "fig2_report.txt").read_text()
+    assert "no closed form applies to scenario 'fig2_sched'" in report
+    assert "fig2_sched" in capsys.readouterr().out
+
+
+def test_main_analytic_with_no_closed_form_in_any_variant_exits_3(tmp_path, capsys):
+    code = main(["--scenario", "fig2", "--scheduling", "on", "--mode", "analytic",
+                 "--snr", "10", "--out", str(tmp_path)])
+    assert code == 3
+    assert "no closed form applies" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_comparison_failure_exit_code(tmp_path, monkeypatch):
@@ -361,9 +398,10 @@ def test_fig3_equal_and_random_beams_write_identical_rows(tmp_path):
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("preset", ["fig1", "fig4"])
+@pytest.mark.parametrize("preset", ["fig1", "fig2", "fig4", "fig5"])
 def test_analytic_csvs_match_golden_files(tmp_path, preset):
-    """The preset closed forms reproduce the stored CSVs byte for byte."""
+    """The preset closed forms reproduce the stored CSVs byte for byte (fig2 and
+    fig5 write only their unscheduled variant)."""
     assert main(["--scenario", preset, "--mode", "analytic", "--out", str(tmp_path)]) == 0
     golden = sorted(GOLDEN_DIR.glob(f"{preset}_*.csv"))
     assert [p.name for p in golden] == sorted(p.name for p in tmp_path.glob("*.csv"))

@@ -3,15 +3,21 @@
 For each plan the engine's gains and the oracle's gains (independent
 streams, fixed seeds) are compared on z1, u, v, their OMA counterparts and
 z1 - v: a two-sample Kolmogorov-Smirnov test, and the means and variances
-within four combined standard errors.
+within four combined standard errors.  A property test checks the
+invariants every draw must satisfy.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from full_matrix_oracle import full_matrix_gains
-from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM, SimulationPlan, _sample_gains
+from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
+from nomacast import montecarlo
+from nomacast.montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan,
+                                 _sample_gains)
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
 
 N = 100_000
 SEED = 32
@@ -34,6 +40,12 @@ CASES = {
 }
 
 
+def test_key_domains_are_distinct():
+    """The engine's two layouts, the retired M + K - 1 layout (1 << 32) and the
+    oracle each have their own Philox key, so no two share draws."""
+    assert len({DOMAIN_GAIN_STATS, DOMAIN_GAINS, 1 << 32, DOMAIN_FULL_MATRIX}) == 4
+
+
 def _engine_gains(m, k, scheduling, beamformer, seed, n, chunk=1 << 14):
     plan = SimulationPlan(n, seed, scheduling, beamformer)
     parts = [_sample_gains(m, k, plan, lo, min(chunk, n - lo))
@@ -41,10 +53,8 @@ def _engine_gains(m, k, scheduling, beamformer, seed, n, chunk=1 << 14):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _statistics(z1, others, z1_oma, others_oma):
-    v = others.max(axis=1)
-    return {"z1": z1, "u": others.min(axis=1), "v": v, "z1_oma": z1_oma,
-            "u_oma": others_oma.min(axis=1), "v_oma": others_oma.max(axis=1),
+def _statistics(z1, u, v, z1_oma, u_oma, v_oma):
+    return {"z1": z1, "u": u, "v": v, "z1_oma": z1_oma, "u_oma": u_oma, "v_oma": v_oma,
             "z1-v": z1 - v}
 
 
@@ -89,17 +99,52 @@ def test_equal_gain_and_random_beams_share_one_sampler():
 
 @pytest.mark.parametrize("scheduling", [False, True])
 def test_single_antenna_oma_gains_are_the_mrt_gains(scheduling):
-    """With M = 1 every unit beam is a phase, so c = 1 and others_oma = others."""
+    """With M = 1 every unit beam is a phase, so c = 1 and the OMA gains are the
+    MRT gains."""
     for beamformer in (EQUAL_GAIN, RANDOM):
-        z1, others, z1_oma, others_oma = _engine_gains(1, 4, scheduling, beamformer,
-                                                       6, 1000)
+        gains = _engine_gains(1, 4, scheduling, beamformer, 6, 1000)
         mrt = _engine_gains(1, 4, scheduling, MRT, 6, 1000)
-        assert np.array_equal(z1_oma, z1) and np.array_equal(others_oma, others)
-        assert np.array_equal(z1, mrt[0]) and np.array_equal(others, mrt[1])
+        assert all(np.array_equal(a, b) for a, b in zip(gains[:3], gains[3:]))
+        assert all(np.array_equal(a, b) for a, b in zip(gains, mrt))
+
+
+def test_top_words_give_a_finite_v(monkeypatch):
+    """The largest words map to a uniform of 1.0; v must stay finite there."""
+    def top_words(seed, domain, first, count, width):
+        return np.full((count, width), (1 << 64) - 1, dtype=np.uint64)
+    monkeypatch.setattr(montecarlo, "window_bits", top_words)
+    _, u, v, _, _, _ = _sample_gains(10, 11, SimulationPlan(4, 1), 0, 4)
+    assert np.all(np.isfinite(v)) and np.all(u <= v)
 
 
 def test_scheduled_user_is_the_strongest():
     """The selected norm dominates every other user's MRT gain and its own OMA gain."""
-    z1, others, z1_oma, _ = _engine_gains(3, 5, True, RANDOM, 8, 20_000)
-    assert np.all(z1 >= others.max(axis=1))
+    z1, _, v, z1_oma, _, _ = _engine_gains(3, 5, True, RANDOM, 8, 20_000)
+    assert np.all(z1 >= v)
     assert np.all((0.0 <= z1_oma) & (z1_oma <= z1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(m=st.sampled_from([1, 2, 10]), k=st.sampled_from([2, 3, 11]),
+       scheduling=st.booleans(), beamformer=st.sampled_from(BEAMFORMER_KINDS),
+       seed=st.integers(0, (1 << 64) - 1), first=st.integers(0, 1 << 40),
+       n=st.integers(1, 40), cut=st.integers(0, 40))
+def test_sampled_gains_properties(m, k, scheduling, beamformer, seed, first, n, cut):
+    """Every plan gives six finite positive 1-D arrays with u <= v under both
+    beams, z1 >= u under scheduling, u = v at K = 2, and the same bits for any
+    split of the window range."""
+    plan = SimulationPlan(n, seed, scheduling, beamformer)
+    gains = _sample_gains(m, k, plan, first, n)
+    z1, u, v, z1_oma, u_oma, v_oma = gains
+    for x in gains:
+        assert x.shape == (n,) and np.all(np.isfinite(x)) and np.all(x > 0)
+    assert np.all(u <= v) and np.all(u_oma <= v_oma)
+    if scheduling:
+        assert np.all(z1 >= u)
+    if k == 2:
+        assert np.array_equal(u, v) and np.array_equal(u_oma, v_oma)
+    cut = min(cut, n)
+    parts = zip(_sample_gains(m, k, plan, first, cut),
+                _sample_gains(m, k, plan, first + cut, n - cut))
+    for whole, (head, tail) in zip(gains, parts):
+        assert np.array_equal(np.concatenate([head, tail]), whole)

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
 from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
-                                 SimulationPlan, _chunk_moments, _FIELDS, _gain_moments,
-                                 _metric_estimate, compare_secrecy_rates, estimate,
-                                 estimate_many, scheduling_check, sweep)
-from nomacast.rng import (DOMAIN_DIRECT_GAINS, DOMAIN_GAINS, RngStream,
-                          bits_to_exponential, bits_to_uniform, window_bits)
+                                 SimulationPlan, _chunk_moments, _field, _FIELDS,
+                                 _gain_moments, _metric_estimate, _sample_gains,
+                                 compare_secrecy_rates, estimate, estimate_many,
+                                 scheduling_check, sweep)
+from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
+                          bits_to_uniform, window_bits)
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
+from rng_stream import RngStream
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
 
@@ -35,17 +38,17 @@ def test_plan_validation():
 
 
 def test_unscheduled_mrt_estimates_pinned():
-    """Unscheduled MRT keeps the direct-gain window layout, value for value."""
+    """Unscheduled MRT keeps its (z1, u, v) window layout, value for value."""
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.SECRECY_OUTAGE,
                MetricKind.MEAN_OMA_SECRECY_RATE)
     got = estimate_many(metrics, CFG, (10, 11), SimulationPlan(70_000, seed=2024),
                         stream_base=3)
-    assert got[MetricKind.UNICAST_OUTAGE].value == 0.32977142857142855
-    assert got[MetricKind.UNICAST_OUTAGE].stderr == 0.0017769371360171296
-    assert got[MetricKind.SECRECY_OUTAGE].value == 0.7081285714285714
-    assert got[MetricKind.SECRECY_OUTAGE].stderr == 0.0017183274692244596
-    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].value == 0.7071000729035575
-    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].stderr == 0.002210008797216999
+    assert got[MetricKind.UNICAST_OUTAGE].value == 0.3361857142857143
+    assert got[MetricKind.UNICAST_OUTAGE].stderr == 0.0017855294049311868
+    assert got[MetricKind.SECRECY_OUTAGE].value == 0.7105428571428571
+    assert got[MetricKind.SECRECY_OUTAGE].stderr == 0.0017141205304983475
+    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].value == 0.7029997122055395
+    assert got[MetricKind.MEAN_OMA_SECRECY_RATE].stderr == 0.0022185283676161545
 
 
 def test_estimate_deterministic_and_worker_independent():
@@ -85,7 +88,7 @@ def _oracle_estimates(metrics, cfg, m, k, plan):
     """Estimates from the channel-matrix oracle's gains through the same kernel."""
     gains = full_matrix_gains(m, k, plan.scheduling, plan.oma_beamformer,
                               plan.seed, plan.samples)
-    n, [sums], [sumsqs] = _gain_moments([cfg], *gains)
+    n, [sums], [sumsqs] = _gain_moments([cfg], _FIELDS, *gains)
     sums, sumsqs = dict(zip(_FIELDS, sums)), dict(zip(_FIELDS, sumsqs))
     return {metric: _metric_estimate(metric, cfg, n, sums, sumsqs)
             for metric in metrics}
@@ -224,9 +227,12 @@ def test_secrecy_comparison_gap_nonnegative_at_high_snr():
 def _decode_window(words, m, k, plan):
     """Gains of one realization from its raw window, one user at a time."""
     mrt = plan.oma_beamformer == MRT or m == 1
-    if not plan.scheduling and mrt:
-        e = bits_to_exponential(words)
-        g = gains(e[:m].sum(), e[m:])
+    if not plan.scheduling and mrt:  # z1's m uniforms, then the words of u and v
+        *z, w_u, w_v = (float(x) for x in bits_to_uniform(words))
+        z1 = -sum(math.log(math.prod(z[i:i + 18])) for i in range(0, m, 18))
+        u = -math.log(w_u) / (k - 1)
+        v = u - math.log1p(-w_v ** (1.0 / (k - 2))) if k > 2 else u
+        g = gains(z1, (u, v))  # every metric reads only the smallest and largest other
         return g, g
     if plan.scheduling:  # word i*k + j is term i of user j, then k phases
         e = bits_to_exponential(words[:k * m])
@@ -257,7 +263,7 @@ def _scalar_reference_moments(cfg, m, k, plan, lo, hi):
     n = hi - lo
     mrt = plan.oma_beamformer == MRT or m == 1
     if not plan.scheduling and mrt:
-        bits = window_bits(plan.seed, DOMAIN_DIRECT_GAINS, lo, n, m + k - 1)
+        bits = window_bits(plan.seed, DOMAIN_GAIN_STATS, lo, n, m + 2)
     elif plan.scheduling:
         bits = window_bits(plan.seed, DOMAIN_GAINS, lo, n, k * m + (0 if mrt else k))
     else:
@@ -304,11 +310,16 @@ def _oracle_moments(cfg, realizations):
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
-    n, [sums], [sumsqs] = _chunk_moments(([CFG], m, k, plan, 0, 0, plan.samples))
+    n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, plan, 0, 0, plan.samples))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
     assert np.allclose(sumsqs, ref_sumsqs, rtol=1e-10, atol=1e-12)
+
+
+def _stats(z):
+    """(z1, u, v) of an (n, K) array whose first column is the unicast user's."""
+    return z[:, 0], z[:, 1:].min(axis=1), z[:, 1:].max(axis=1)
 
 
 def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
@@ -318,8 +329,7 @@ def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
     z = RngStream(43).exponential((2000, 5)) * 0.5
     z_oma = RngStream(44).exponential((2000, 5)) * 0.5
     for cfg in (CFG, replace(CFG, r_s=0.0)):
-        n, [sums], [sumsqs] = _gain_moments([cfg], z[:, 0], z[:, 1:], z_oma[:, 0],
-                                            z_oma[:, 1:])
+        n, [sums], [sumsqs] = _gain_moments([cfg], _FIELDS, *_stats(z), *_stats(z_oma))
         ref_sums, ref_sumsqs = _oracle_moments(
             cfg, ((gains(a[0], a[1:]), gains(b[0], b[1:])) for a, b in zip(z, z_oma)))
         assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12), cfg
@@ -335,6 +345,42 @@ def test_every_metric_is_a_kernel_field_or_an_outage_rate_of_one():
         assert (metric.value in _FIELDS) == (attr is None), metric
     checks = set(_FIELDS) - {metric.value for metric in MetricKind}
     assert checks == {"secrecy_gap", "secrecy_violation", "sched_ok"}
+
+
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(3000, seed=61),
+    SimulationPlan(3000, seed=62, scheduling=True, oma_beamformer=RANDOM),
+], ids=["same_beam", "two_beams"])
+def test_requested_fields_equal_the_all_fields_evaluation(plan):
+    """The fields each metric reads, and each check's own set, come out exactly
+    as they do when the kernel evaluates every field on the same gains."""
+    gains = _sample_gains(3, 5, plan, 0, plan.samples)
+    cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
+    _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
+    sets = [(_field(metric),) for metric in MetricKind]
+    for fields in sets + [("sched_ok",), ("secrecy_violation", "secrecy_gap")]:
+        n, sums, sumsqs = _gain_moments(cfgs, fields, *gains)
+        columns = [_FIELDS.index(name) for name in fields]
+        assert n == plan.samples
+        assert np.array_equal(sums, all_sums[:, columns]), fields
+        assert np.array_equal(sumsqs, all_sumsqs[:, columns]), fields
+
+
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(3000, seed=63),
+    SimulationPlan(3000, seed=64, scheduling=True, oma_beamformer=EQUAL_GAIN),
+], ids=["same_beam", "two_beams"])
+def test_chunk_moments_leave_no_reference_cycles(plan):
+    """A chunk's arrays are freed by reference counting alone: with the cyclic
+    collector off during the call, it has nothing to collect afterwards."""
+    gc.collect()
+    gc.disable()
+    try:
+        _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5, plan, 0, 0,
+                        plan.samples))
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 @settings(derandomize=True, deadline=None)
@@ -356,9 +402,9 @@ def test_outage_indicators_nonincreasing_in_snr(z1, others, lo_db, step_db, r_m,
     for cfg in cfgs:
         alpha_u2 = power_fraction(min(z1[0], others.min()), cfg)
         assert 0.0 <= alpha_u2 < 1.0 / (1.0 + cfg.eps_m)
-    fields = [_FIELDS.index("multicast_outage"), _FIELDS.index("unicast_outage")]
-    _, sums, _ = _gain_moments(cfgs, z1, others, z1, others)
-    assert np.all(np.diff(sums[:, fields], axis=0) <= 0)
+    gains = (z1, others.min(axis=1), others.max(axis=1))
+    _, sums, _ = _gain_moments(cfgs, ("multicast_outage", "unicast_outage"), *gains, *gains)
+    assert np.all(np.diff(sums, axis=0) <= 0)
 
 
 @settings(derandomize=True, deadline=None)
@@ -382,13 +428,15 @@ def test_secrecy_outage_indicators_nonincreasing_in_snr(others, ratios, same_bea
     """
     others = np.array(others).T[:, None, :]  # (MRT, OMA beam) x 1 realization x K-1
     z1 = np.array(ratios)[:, None] * 2.0 ** r_s * others.max(axis=2)
-    gains = (z1[0], others[0])
-    gains_oma = gains if same_beam else (z1[1], others[1])  # same objects: the MRT path
-    fields = [_FIELDS.index("secrecy_outage"), _FIELDS.index("secrecy_outage_oma")]
+    gains, gains_oma = ((z1[i], others[i].min(axis=1), others[i].max(axis=1))
+                        for i in (0, 1))
+    if same_beam:
+        gains_oma = gains  # the same objects: the MRT path
     cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u, r_s)
             for db in np.arange(lo_db, 60.0, step_db)]
-    _, sums, _ = _gain_moments(cfgs, *gains, *gains_oma)
-    assert np.all(np.diff(sums[:, fields], axis=0) <= 0)
+    _, sums, _ = _gain_moments(cfgs, ("secrecy_outage", "secrecy_outage_oma"), *gains,
+                               *gains_oma)
+    assert np.all(np.diff(sums, axis=0) <= 0)
 
 
 @settings(derandomize=True, deadline=None)
@@ -403,9 +451,10 @@ def test_noma_unicast_rate_not_below_oma_when_unicast_user_is_not_weakest(
     z1 = others.min(axis=1) * (1.0 + excess)
     cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
             for db in np.arange(lo_db, 60.0, 2.5)]
-    _, sums, _ = _gain_moments(cfgs, z1, others, z1, others)
-    noma = sums[:, _FIELDS.index("mean_noma_unicast_rate")]
-    oma = sums[:, _FIELDS.index("mean_oma_unicast_rate")]
+    gains = (z1, others.min(axis=1), others.max(axis=1))
+    _, sums, _ = _gain_moments(cfgs, ("mean_noma_unicast_rate", "mean_oma_unicast_rate"),
+                               *gains, *gains)
+    noma, oma = sums.T
     assert np.all(noma >= oma - RATE_EQ_GUARD)
 
 

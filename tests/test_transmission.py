@@ -4,7 +4,7 @@ import pytest
 import link_oracle as oracle
 from link_oracle import (evaluate_link, gains, noma_rates, oma_rates, outage_events,
                          secrecy_rate)
-from nomacast.rng import RngStream
+from rng_stream import RngStream
 from nomacast.transmission import LinkConfig, noma_rate, power_fraction, time_fraction
 
 CFG = LinkConfig(rho=10.0, r_m=1.0, r_u=6.0, r_s=2.0)
