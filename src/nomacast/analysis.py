@@ -23,6 +23,8 @@ from .transmission import LinkConfig
 # while leaving all representable values exact.
 _GAMMA_ARG_CAP = 1e4
 
+_INV_FACTORIAL = tuple(1 / math.factorial(m) for m in range(100))  # 1/m!, m < 100
+
 # Elements per block of the nested secrecy quadrature grid: a block's
 # temporaries (128 KiB each) fit in a core's L2 cache.
 _GRID_BLOCK = 1 << 14
@@ -34,27 +36,24 @@ class UnsupportedAnalyticsError(ValueError):
 
 # --- incomplete gamma (integer shape) ----------------------------------------
 
-def _upper_reg(shape: int, x) -> np.ndarray:
+def _upper_reg(shape: int, x, exp_neg_x=None) -> np.ndarray:
     """Regularized upper incomplete gamma for integer shape.
 
-    Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!, evaluated with a
-    Horner recurrence; exact (to rounding) for every integer shape.  Above
-    shape 100 the sum can overflow where exp(-x) underflows; such entries
-    come from ``scipy.special.gammaincc`` instead.
+    Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!: up to shape 100 a
+    Horner recurrence on 1/m! (a multiply and an add per term, exact to
+    rounding) times exp(-x), or ``exp_neg_x`` if the caller holds it.  Above
+    shape 100 the sum can overflow where exp(-x) underflows, so every entry
+    comes from ``scipy.special.gammaincc``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xc = np.minimum(x, _GAMMA_ARG_CAP)
-    p = np.ones_like(xc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(shape - 1, 0, -1):  # p = 1 + p*xc/m, in place
-            p *= xc
-            p /= m
-            p += 1.0
-        out = np.exp(-xc) * p
+    x = np.minimum(np.asarray(x, dtype=np.float64), _GAMMA_ARG_CAP)
     if shape > 100:
         from scipy.special import gammaincc  # imported only here: scipy is slow to load
-        out = np.where(np.isfinite(out), out, gammaincc(shape, xc))
-    return out
+        return gammaincc(shape, x)
+    p = np.full_like(x, _INV_FACTORIAL[shape - 1])
+    for c in reversed(_INV_FACTORIAL[:shape - 1]):  # p = c + p*x, in place
+        p *= x
+        p += c
+    return p * (np.exp(-x) if exp_neg_x is None else exp_neg_x)
 
 
 def _lower_reg(shape: int, x) -> np.ndarray:
@@ -284,13 +283,25 @@ def noma_rate_advantage(u: float, x, p: AnalysisParams):
     return float(adv) if adv.ndim == 0 else adv
 
 
+def _minmax_density(eu, ev, k: int):
+    """eu (eu - ev)^(k-3) by repeated squaring (no libm pow): with eu = e^-u,
+    ev = e^-v, the joint min/max density over (k-1)(k-2) ev."""
+    out, base, e = eu, eu - ev, k - 3
+    while e:
+        if e & 1:
+            out = out * base
+        if e := e >> 1:
+            base = base * base
+    return out
+
+
 def joint_minmax_pdf(u, v, k: int):
     """Joint density of the min and max of k-1 unit exponentials on u <= v."""
     if k < 3:
         raise UnsupportedAnalyticsError(f"joint min/max analytics need K >= 3, got {k}")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    pdf = (k - 1) * (k - 2) * np.exp(-u - v) * (np.exp(-u) - np.exp(-v)) ** (k - 3)
+    ev = np.exp(-np.asarray(v, dtype=np.float64))
+    pdf = (k - 1) * (k - 2) * ev * _minmax_density(
+        np.exp(-np.asarray(u, dtype=np.float64)), ev, k)
     return float(pdf) if pdf.ndim == 0 else pdf
 
 
@@ -323,14 +334,12 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     Inner axis: the smallest other gain u on [eps_m/rho, v].
 
     The grid is evaluated in blocks of outer-axis rows of about
-    ``_GRID_BLOCK`` elements.  Built whole, each of its two dozen
-    temporaries holds na^2 doubles (2 MB at na = 500), so every
-    elementwise pass streams through main memory; a block's temporaries
-    stay in cache.  The final sums stay unblocked: each block writes its
-    weighted d4 and d6 into one full (na, na) array per integral, and one
-    ``np.sum`` over each adds the same values in the same pairwise order
-    as the whole-grid evaluation, so q4 and q6 keep every bit.  Summing per
-    block and adding the partial sums would round differently.
+    ``_GRID_BLOCK`` elements, so a block's temporaries stay in cache and no
+    (na, na) array is built.  An element costs two exps (e^-u serves the
+    density and the incomplete gamma at u), one division, and otherwise
+    multiplies and adds; the per-row factor (k-1)(k-2) e^-v rides in the
+    outer weight.  Each block is summed on its own, so q4 and q6 round
+    differently from a whole-grid sum, by far less than the rule's error.
     """
     thr = p.eps_m / p.rho
     cap = _minmax_tail_cap(p)
@@ -338,26 +347,25 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     n = rule.order
     v = 0.5 * (cap - thr) * t + 0.5 * (cap + thr)
     half = 0.5 * (v - thr)
-    scaled_v = (1.0 + p.eps_s) * v[:, None]  # 2^r_s * v
+    ev = np.exp(-v)
+    scaled_v = (1.0 + p.eps_s) * v  # 2^r_s * v
     upper_v = _upper_reg(p.m, scaled_v)
-    lower_v = _lower_reg(p.m, scaled_v)
     inner = rule.weights * np.sqrt(1.0 - t**2)
-    outer = inner * 0.5 * (cap - thr) * half
-    w4 = np.empty((n, n))
-    w6 = np.empty((n, n))
+    outer = inner * 0.5 * (cap - thr) * half * ((p.k - 1) * (p.k - 2)) * ev
+    q4 = q6 = 0.0
     rows = max(1, _GRID_BLOCK // n)
     for r in range(0, n, rows):
         b = slice(r, r + rows)
         u = half[b, None] * t + 0.5 * (v[b, None] + thr)
-        weight = outer[b, None] * inner * joint_minmax_pdf(u, v[b, None], p.k)
+        eu = np.exp(-u)
+        weight = outer[b, None] * inner * _minmax_density(eu, ev[b, None], p.k)
         with np.errstate(divide="ignore", over="ignore"):
-            shift = p.xi / (1.0 - thr / u)
-        d4 = upper_v[b] - _upper_reg(p.m, np.minimum(scaled_v[b] + shift,
-                                                     _GAMMA_ARG_CAP))
-        d6 = lower_v[b] - _lower_reg(p.m, u)
-        np.multiply(weight, d4, out=w4[b])
-        np.multiply(weight, d6, out=w6[b])
-    return float(np.sum(w4)), float(np.sum(w6))
+            shift = p.xi * u / (u - thr)
+        d4 = upper_v[b, None] - _upper_reg(p.m, scaled_v[b, None] + shift)
+        d6 = _upper_reg(p.m, u, eu) - upper_v[b, None]
+        q4 += np.einsum("ij,ij->", weight, d4)
+        q6 += np.einsum("ij,ij->", weight, d6)
+    return float(q4), float(q6)
 
 
 def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,

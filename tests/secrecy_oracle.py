@@ -1,9 +1,16 @@
 """Whole-grid secrecy quadrature: the oracle for ``analysis._secrecy_q4_q6``.
 
-The package evaluates the nested Chebyshev-Gauss grid in blocks of rows.
-This module keeps the unblocked evaluation, together with the
-regularized upper incomplete gamma written with fresh temporaries, so the
-tests can assert that blocking changes no bit of q4 or q6.
+The package evaluates the nested Chebyshev-Gauss grid in blocks of rows,
+sums each block on its own, and runs the incomplete-gamma series on
+precomputed 1/m!.  This module keeps the straightforward forms: the
+whole-grid evaluation with one sum per integral, and the series as
+``p = 1 + p*x/m``.  The tests bound the package's departure from them by
+tolerances set from float64 epsilon.  Above shape 100 this ``upper_reg``
+takes gammaincc only where the series overflows, so it keeps the false
+zeros where exp(-x) underflows; the tests compare the package with
+gammaincc there instead.  The density is the package's
+``joint_minmax_pdf``, which ``test_joint_pdf_matches_expansion`` checks on
+its own.
 """
 
 from __future__ import annotations

@@ -376,36 +376,71 @@ def test_secrecy_zero_target_drops_gap_branch():
 
 # --- blocked secrecy quadrature vs the whole-grid oracle ---------------------------
 
-@pytest.mark.parametrize("m", [1, 2, 3, 10, 101, 150, 300])
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 100, 101, 150, 300])
 def test_regularized_gamma_matches_oracle_bit_for_bit(m):
-    """The in-place Horner loop performs the oracle's operations in its order."""
+    """Up to shape 100 the Horner loop on 1/m! stays within 2*m ulps of the
+    oracle's; above it every entry is gammaincc's, bit for bit."""
     from nomacast.analysis import _upper_reg
     x = np.concatenate([np.linspace(0.0, 50.0, 1001), np.logspace(-6, 6, 601),
                         [1e4, np.inf]])
-    assert np.array_equal(_upper_reg(m, x), secrecy_oracle.upper_reg(m, x))
-    assert _upper_reg(m, 2.5) == secrecy_oracle.upper_reg(m, 2.5)
+    if m > 100:
+        assert np.array_equal(_upper_reg(m, x), special.gammaincc(m, x))
+        assert _upper_reg(m, 2.5) == special.gammaincc(m, 2.5)
+    else:
+        np.testing.assert_allclose(_upper_reg(m, x), secrecy_oracle.upper_reg(m, x),
+                                   rtol=2 * m * EPS, atol=1e-300)
+        assert _upper_reg(m, 2.5) == pytest.approx(secrecy_oracle.upper_reg(m, 2.5),
+                                                   rel=2 * m * EPS, abs=0)
+
+
+def test_regularized_gamma_above_shape_100_has_no_false_zeros():
+    """exp(-x) underflows at these points, but the values are representable
+    (references from mpmath at 40 digits)."""
+    from nomacast.analysis import _upper_reg
+    assert _upper_reg(300, 800.0) == pytest.approx(6.058669723339453e-92, rel=1e-12, abs=0)
+    assert _upper_reg(101, 750.0) == pytest.approx(7.538878552219594e-197, rel=1e-12, abs=0)
 
 
 # na = 7 and 33 fit in one block; at na = 500 the last block is ragged (500 = 15 x 32 + 20)
 @pytest.mark.parametrize("na", [7, 33, 500])
-@pytest.mark.parametrize("m", [1, 2, 10, 150])  # 150 takes the gammaincc fallback
+@pytest.mark.parametrize("m", [1, 2, 10, 150])  # 150 takes the gammaincc branch
 def test_secrecy_quadrature_matches_whole_grid_oracle(m, na):
-    """Blocking the grid changes no bit of q4 or q6."""
+    """Blocked sums agree with the whole-grid ones to 1e-13 (about 450 ulps);
+    k = 3, 4, 5, 11 raise the density to the powers 0, 1, 2 and 8."""
     from nomacast.analysis import _secrecy_q4_q6
     rule = chebyshev_rule(na)
-    for k in (3, 11):
+    for k in (3, 4, 5, 11):
         for r_s in (0.0, 2.0):
             for snr in (0.0, 20.0, 60.0):
                 p = params(m, k, snr, r_s=r_s)
-                assert _secrecy_q4_q6(p, rule) == secrecy_oracle.secrecy_q4_q6(p, rule)
+                assert _secrecy_q4_q6(p, rule) == pytest.approx(
+                    secrecy_oracle.secrecy_q4_q6(p, rule), rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("m, na", [(10, 7), (10, 33), (150, 33), (10, 500)])
 def test_secrecy_refinement_matches_whole_grid_oracle(m, na):
-    """check_refinement reruns the doubled grid; its delta is bit-identical too."""
+    """check_refinement reruns the doubled grid; its delta agrees to 2e-13."""
     p = params(m, 11, 20.0, r_s=2.0)
     res = secrecy_outage_prob(p, chebyshev_rule(na), check_refinement=True)
     q4, q6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(na))
     f4, f6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(2 * na))
-    assert (res.q4, res.q6) == (q4, q6)
-    assert res.refinement_delta == abs(q4 + res.q5 + q6 - (f4 + res.q5 + f6))
+    assert (res.q4, res.q6) == pytest.approx((q4, q6), rel=0, abs=1e-13)
+    assert res.refinement_delta == pytest.approx(
+        abs(q4 + res.q5 + q6 - (f4 + res.q5 + f6)), rel=0, abs=2e-13)
+
+
+def test_secrecy_quadrature_memory_stays_blocked():
+    """No (na, na) buffer: at na = 2000 one full grid array alone is 31 MiB."""
+    import tracemalloc
+    from nomacast.analysis import _secrecy_q4_q6
+    p, rule = params(10, 11, 20.0, r_s=2.0), chebyshev_rule(2000)
+    tracemalloc.start()
+    try:
+        _secrecy_q4_q6(p, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
