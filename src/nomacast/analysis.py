@@ -56,10 +56,6 @@ def _upper_reg(shape: int, x, exp_neg_x=None) -> np.ndarray:
     return p * (np.exp(-x) if exp_neg_x is None else exp_neg_x)
 
 
-def _lower_reg(shape: int, x) -> np.ndarray:
-    return 1.0 - _upper_reg(shape, x)
-
-
 # --- quadrature ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -178,6 +174,12 @@ def _reciprocal_min_pdf(p: AnalysisParams, x) -> np.ndarray:
     return (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
 
 
+def _bottleneck_outage_prob(p: AnalysisParams) -> float:
+    """q2 = P(eps_m/rho <= z1 < min(phi, u)) = K^-M (U(M, K eps_m/rho) - U(M, K phi))."""
+    return float((_upper_reg(p.m, p.k * p.eps_m / p.rho) - _upper_reg(p.m, p.k * p.phi))
+                 * float(p.k) ** -p.m)
+
+
 def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
                         check_refinement: bool = False) -> UnicastOutageResult:
     """NOMA unicast outage probability P(R_U1 < r_u).
@@ -192,10 +194,7 @@ def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     that is too coarse for the operating point.
     """
     q1 = multicast_outage_prob(p)
-    thr = p.eps_m / p.rho
-    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr))
-               * float(p.k) ** -p.m)
-
+    q2 = _bottleneck_outage_prob(p)
     slope = p.eps_m / (p.rho * p.psi)
 
     def integrand(x):
@@ -234,8 +233,7 @@ def unicast_outage_bounds(p: AnalysisParams) -> OutageBounds:
     """
     thr = p.eps_m / p.rho
     q1 = multicast_outage_prob(p)
-    q2 = float((_lower_reg(p.m, p.k * p.phi) - _lower_reg(p.m, p.k * thr))
-               * float(p.k) ** -p.m)
+    q2 = _bottleneck_outage_prob(p)
     q31 = float(np.exp(-(p.k - 1) * thr) - np.exp(-(p.k - 1) * (thr + p.psi)))
     upper = min(1.0, q1 + q2 + q31)
     return OutageBounds(q1, upper, p.k * thr, q1, q2, q31)
@@ -373,17 +371,16 @@ def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     """NOMA secrecy outage probability P((z1 - 2^r_s v) alpha_U^2 <= eps_s/rho).
 
     A realization with no positive secrecy rate is an outage, even at r_s = 0.
-    q5 collects the branches that are certain outages (unicast user not the
-    strongest, or all power spent on multicasting) in closed form; q4 and
-    q6 cover the remaining branches through the nested quadrature over the
-    joint min/max density.  Needs K >= 3.
+    q5 collects two branches that are certain outages in closed form: all
+    power spent on multicasting (the multicast outage) and the unicast user's
+    gain the weakest but above the multicast threshold (the NOMA shortfall
+    floor).  q4 and q6 cover the remaining branches through the nested
+    quadrature over the joint min/max density.  Needs K >= 3.
     """
     if p.k < 3:
         raise UnsupportedAnalyticsError(
             f"secrecy analytics need K >= 3, got K={p.k}; use Monte Carlo instead")
-    thr = p.eps_m / p.rho
-    q5 = float(1.0 - _upper_reg(p.m, thr) * np.exp(-p.eps_m * (p.k - 1) / p.rho)
-               + float(p.k) ** -p.m * _upper_reg(p.m, p.eps_m * p.k / p.rho))
+    q5 = multicast_outage_prob(p) + noma_shortfall_bound(p).exact
     q4, q6 = _secrecy_q4_q6(p, rule)
     raw = q4 + q5 + q6
     delta = None

@@ -40,6 +40,8 @@ CSV_HEADER = ("snr_db", "metric", "method", "value", "stderr", "ci_low", "ci_hig
 
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 12345
+_CONFIG_KEYS = ("name", "m", "k", "r_m", "r_u", "r_s", "snr_db", "na", "metrics",
+                "scheduling", "oma_beamformer", "samples", "seed")  # README grammar
 
 # probability metric -> (closed form of (AnalysisParams, quadrature rule), absolute
 # comparison tolerance); an outage-rate row is (1 - P) * target and scales the
@@ -302,7 +304,7 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
 # --- configuration loading ----------------------------------------------------
 
 def parse_snr_grid(text: str):
-    """Parse 'LO:HI:STEP' (inclusive) or a comma-separated list of dB values."""
+    """Parse 'LO:HI:STEP' (inclusive) or a comma list of dB values, each kept once."""
     text = text.strip()
     try:
         if ":" in text:
@@ -310,7 +312,7 @@ def parse_snr_grid(text: str):
             if step <= 0 or hi < lo:
                 raise ValueError
             return tuple(np.arange(lo, hi + step / 2, step).tolist())
-        return tuple(float(x) for x in text.split(","))
+        return tuple(dict.fromkeys(float(x) for x in text.split(",")))
     except ValueError:
         raise ScenarioError(f"cannot parse SNR grid {text!r}") from None
 
@@ -323,7 +325,7 @@ def parse_metrics(items):
         except ValueError:
             valid = ", ".join(m.value for m in MetricKind)
             raise ScenarioError(f"unknown metric {item!r}; valid: {valid}") from None
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_bool(text: str) -> bool:
@@ -343,6 +345,9 @@ def load_scenario_file(path) -> Scenario:
     if not parser.has_section("scenario"):
         raise ScenarioError(f"{path} has no [scenario] section")
     sec = parser["scenario"]
+    for key in sec:  # a misspelt key must not fall back to a default silently
+        if key not in _CONFIG_KEYS:
+            raise ScenarioError(f"{path}: unknown key {key!r}")
     for req in ("m", "k", "r_m", "r_u", "metrics"):
         if req not in sec:
             raise ScenarioError(f"{path}: missing required key {req!r}")

@@ -217,8 +217,8 @@ class _Outcomes:
         return self.rs_noma - self.rs_oma
 
 
-# field name -> its per-realization value; the metric fields come first, then
-# three that only the checks read
+# field name -> its per-realization value: a float for a ``mean_*`` name, else
+# an event indicator.  The metric fields come first, then three the checks read.
 _FIELD_OF = {
     "multicast_outage": lambda o: o.gmin < o.cfg.eps_m / o.cfg.rho,
     "unicast_outage": lambda o: o.z1 * o.alpha_u2 < o.cfg.eps_u / o.cfg.rho,
@@ -232,7 +232,7 @@ _FIELD_OF = {
     "mean_oma_unicast_rate": lambda o: o.r1_oma,
     "mean_noma_secrecy_rate": lambda o: o.rs_noma,
     "mean_oma_secrecy_rate": lambda o: o.rs_oma,
-    "secrecy_gap": lambda o: o.gap,
+    "mean_secrecy_gap": lambda o: o.gap,
     "secrecy_violation": lambda o: o.gap < -RATE_EQ_GUARD,
     "sched_ok": lambda o: o.z1 >= o.u,
 }
@@ -268,7 +268,7 @@ def _chunk_moments(args):
 
 
 def _run_moments(cfgs, fields, system, plan: SimulationPlan, base: int):
-    """Sample count and per-config (sums, sums of squares) dicts of the named fields."""
+    """Per-config {field: Estimate} of the named fields."""
     m, k = system
     if k < 2:
         raise ValueError(f"need at least 2 users, got {k}")
@@ -283,18 +283,23 @@ def _run_moments(cfgs, fields, system, plan: SimulationPlan, base: int):
         results = [_chunk_moments(c) for c in chunks]
     ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
     zero = np.zeros((len(cfgs), len(fields)))
-    return sum(ns), [(dict(zip(fields, s)), dict(zip(fields, q)))
-                     for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
+    return [_field_estimates(fields, sum(ns), s, q)
+            for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
 
 
-def _moment_estimate(n: int, s: float, ssq: float, probability: bool) -> Estimate:
-    mean = s / n
-    var = max(0.0, ssq - s * s / n) / (n - 1) if n > 1 else 0.0
-    stderr = math.sqrt(var / n)
-    lo, hi = mean - _Z95 * stderr, mean + _Z95 * stderr
-    if probability:
-        lo, hi = max(0.0, lo), min(1.0, hi)
-    return Estimate(mean, stderr, lo, hi, n)
+def _field_estimates(fields, n: int, sums, sumsqs) -> dict:
+    """{field: Estimate} from one config's sums and squares over n realizations:
+    a ``mean_*`` field is a mean, any other an event probability in [0, 1]."""
+    out = {}
+    for name, s, ssq in zip(fields, sums, sumsqs):
+        mean = s / n
+        var = max(0.0, ssq - s * s / n) / (n - 1) if n > 1 else 0.0
+        stderr = math.sqrt(var / n)
+        lo, hi = mean - _Z95 * stderr, mean + _Z95 * stderr
+        if not name.startswith("mean_"):
+            lo, hi = max(0.0, lo), min(1.0, hi)
+        out[name] = Estimate(mean, stderr, lo, hi, n)
+    return out
 
 
 def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Estimate:
@@ -311,13 +316,6 @@ def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Es
                     source.samples)
 
 
-def _metric_estimate(metric: MetricKind, cfg: LinkConfig, n, sums, sumsqs) -> Estimate:
-    field = _field(metric)
-    # every field but a mean rate is a probability
-    return derive_estimate(metric, cfg, _moment_estimate(
-        n, sums[field], sumsqs[field], probability=not field.startswith("mean_")))
-
-
 def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int = 0):
     """Estimate several metrics from one shared set of realizations.
 
@@ -326,9 +324,8 @@ def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int =
     """
     cfgs = [cfg] if isinstance(cfg, LinkConfig) else list(cfg)
     fields = tuple(dict.fromkeys(_field(metric) for metric in metrics))
-    n, points = _run_moments(cfgs, fields, system, plan, stream_base)
-    out = [{metric: _metric_estimate(metric, c, n, *moments) for metric in metrics}
-           for c, moments in zip(cfgs, points)]
+    out = [{metric: derive_estimate(metric, c, est[_field(metric)]) for metric in metrics}
+           for c, est in zip(cfgs, _run_moments(cfgs, fields, system, plan, stream_base))]
     return out[0] if isinstance(cfg, LinkConfig) else out
 
 
@@ -356,17 +353,11 @@ def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,
 
 def scheduling_check(cfg: LinkConfig, system, plan: SimulationPlan) -> Estimate:
     """Fraction of realizations with z1 >= u (must be 1.0 under scheduling)."""
-    n, [(sums, sumsqs)] = _run_moments([cfg], ("sched_ok",), system, plan, 0)
-    return _moment_estimate(n, sums["sched_ok"], sumsqs["sched_ok"], probability=True)
+    return _run_moments([cfg], ("sched_ok",), system, plan, 0)[0]["sched_ok"]
 
 
 def compare_secrecy_rates(cfg: LinkConfig, system,
                           plan: SimulationPlan) -> SecrecyComparison:
     """Head-to-head NOMA vs OMA secrecy rates over shared realizations."""
-    n, [(sums, sumsqs)] = _run_moments([cfg], ("secrecy_violation", "secrecy_gap"),
-                                       system, plan, 0)
-    violation = _moment_estimate(n, sums["secrecy_violation"],
-                                 sumsqs["secrecy_violation"], probability=True)
-    gap = _moment_estimate(n, sums["secrecy_gap"], sumsqs["secrecy_gap"],
-                           probability=False)
-    return SecrecyComparison(violation, gap)
+    [est] = _run_moments([cfg], ("secrecy_violation", "mean_secrecy_gap"), system, plan, 0)
+    return SecrecyComparison(est["secrecy_violation"], est["mean_secrecy_gap"])

@@ -158,6 +158,41 @@ def test_scenario_file_errors(tmp_path):
         load_scenario_file(bad)
 
 
+def test_repeated_metric_or_snr_point_is_evaluated_once(tmp_path):
+    """A metric or SNR point given twice, on the command line or in a config
+    file, gives one set of CSV rows and one report line per point."""
+    assert parse_metrics(["unicast_outage", "multicast_outage", " unicast_outage"]) == (
+        MetricKind.UNICAST_OUTAGE, MetricKind.MULTICAST_OUTAGE)
+    assert parse_snr_grid("4,0,4,0.0") == (4.0, 0.0)
+    code = main(["--scenario", "fig1", "--metric", "unicast_outage", "--metric",
+                 "unicast_outage", "--snr", "0,4,0", "--samples", "2000",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_csv(tmp_path / "fig1_unicast_outage.csv")
+    assert [(r["snr_db"], r["method"]) for r in rows] == [
+        (0.0, "analytic"), (0.0, "mc"), (4.0, "analytic"), (4.0, "mc")]
+    assert (tmp_path / "fig1_report.txt").read_text().count("unicast_outage") == 2
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("[scenario]\nm = 2\nk = 3\nr_m = 1\nr_u = 2\nsnr_db = 10, 0, 10\n"
+                        "metrics = unicast_outage, multicast_outage, unicast_outage\n")
+    scenario = load_scenario_file(cfg_file)
+    assert scenario.snr_grid_db == (10.0, 0.0)
+    assert scenario.metrics == (MetricKind.UNICAST_OUTAGE, MetricKind.MULTICAST_OUTAGE)
+
+
+@pytest.mark.parametrize("key", ["sampels", "seeed"])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, key):
+    """A misspelt key exits 2 naming it, instead of running with the default."""
+    cfg_file = tmp_path / "typo.cfg"
+    cfg_file.write_text("[scenario]\nm = 2\nk = 3\nr_m = 1\nr_u = 2\nsnr_db = 10\n"
+                        f"metrics = unicast_outage\n{key} = 5\n")
+    with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
+        load_scenario_file(cfg_file)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_main_unknown_scenario_exit_code(tmp_path, capsys):
     code = main(["--scenario", "fig99", "--out", str(tmp_path)])
     assert code == 2
@@ -405,5 +440,22 @@ def test_analytic_csvs_match_golden_files(tmp_path, preset):
     assert main(["--scenario", preset, "--mode", "analytic", "--out", str(tmp_path)]) == 0
     golden = sorted(GOLDEN_DIR.glob(f"{preset}_*.csv"))
     assert [p.name for p in golden] == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+GOLDEN_MC_DIR = Path(__file__).parent / "data" / "golden_mc"
+
+
+@pytest.mark.parametrize("variant", ["fig1", "fig3_random", "fig5_sched"])
+def test_mc_csvs_match_golden_files(tmp_path, variant):
+    """Monte Carlo CSVs at 8192 samples and 0, 20 and 40 dB reproduce the stored
+    files byte for byte: the (z1, u, v) layout, an unscheduled non-MRT beam and
+    a scheduled plan.  Every value is an exact count or an outage rate of one."""
+    scenario = next(s for group in PRESETS.values() for s in group if s.name == variant)
+    _, paths = run_scenario(replace(scenario, samples=8192, snr_grid_db=(0.0, 20.0, 40.0)),
+                            out_dir=tmp_path, mode="mc")
+    golden = sorted(GOLDEN_MC_DIR.glob(f"{variant}_*.csv"))
+    assert [p.name for p in golden] == sorted(p.name for p in paths)
     for path in golden:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

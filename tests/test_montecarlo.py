@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
 from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
-                                 SimulationPlan, _chunk_moments, _field, _FIELDS,
-                                 _gain_moments, _metric_estimate, _sample_gains,
-                                 compare_secrecy_rates, estimate, estimate_many,
-                                 scheduling_check, sweep)
+                                 SimulationPlan, _chunk_moments, _field, _FIELD_OF,
+                                 _FIELDS, _field_estimates, _gain_moments, _Outcomes,
+                                 _sample_gains, compare_secrecy_rates, derive_estimate,
+                                 estimate, estimate_many, scheduling_check, sweep)
 from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
                           bits_to_uniform, window_bits)
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
@@ -89,9 +89,8 @@ def _oracle_estimates(metrics, cfg, m, k, plan):
     gains = full_matrix_gains(m, k, plan.scheduling, plan.oma_beamformer,
                               plan.seed, plan.samples)
     n, [sums], [sumsqs] = _gain_moments([cfg], _FIELDS, *gains)
-    sums, sumsqs = dict(zip(_FIELDS, sums)), dict(zip(_FIELDS, sumsqs))
-    return {metric: _metric_estimate(metric, cfg, n, sums, sumsqs)
-            for metric in metrics}
+    est = _field_estimates(_FIELDS, n, sums, sumsqs)
+    return {metric: derive_estimate(metric, cfg, est[_field(metric)]) for metric in metrics}
 
 
 def test_full_and_direct_modes_agree():
@@ -289,7 +288,7 @@ def _oracle_moments(cfg, realizations):
             "mean_oma_unicast_rate": out.oma_unicast,
             "mean_noma_secrecy_rate": out.noma_secrecy,
             "mean_oma_secrecy_rate": out.oma_secrecy,
-            "secrecy_gap": gap,
+            "mean_secrecy_gap": gap,
             "secrecy_violation": gap < -RATE_EQ_GUARD,
             "sched_ok": g.z1 >= g.u,
         }
@@ -344,7 +343,25 @@ def test_every_metric_is_a_kernel_field_or_an_outage_rate_of_one():
         assert source.value in _FIELDS and source not in OUTAGE_RATE_OF, metric
         assert (metric.value in _FIELDS) == (attr is None), metric
     checks = set(_FIELDS) - {metric.value for metric in MetricKind}
-    assert checks == {"secrecy_gap", "secrecy_violation", "sched_ok"}
+    assert checks == {"mean_secrecy_gap", "secrecy_violation", "sched_ok"}
+
+
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(2000, seed=65),
+    SimulationPlan(2000, seed=66, scheduling=True, oma_beamformer=RANDOM),
+], ids=["same_beam", "two_beams"])
+def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
+    """The reduction to estimates tells a probability from a mean by the field
+    name alone (see _field_estimates), so the kernel must give a boolean per
+    realization for every field but a ``mean_*`` one."""
+    z1, u, v, z1_oma, u_oma, v_oma = _sample_gains(3, 5, plan, 0, plan.samples)
+    for cfg in (CFG, replace(CFG, rho=1e4, r_s=0.0)):
+        outcomes = _Outcomes(cfg, z1, u, v, z1_oma, v_oma, np.minimum(z1, u),
+                             np.minimum(z1_oma, u_oma))
+        for name in _FIELDS:
+            x = _FIELD_OF[name](outcomes)
+            assert x.shape == (plan.samples,), name
+            assert (x.dtype == bool) == (not name.startswith("mean_")), name
 
 
 @pytest.mark.parametrize("plan", [
@@ -358,7 +375,7 @@ def test_requested_fields_equal_the_all_fields_evaluation(plan):
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
     sets = [(_field(metric),) for metric in MetricKind]
-    for fields in sets + [("sched_ok",), ("secrecy_violation", "secrecy_gap")]:
+    for fields in sets + [("sched_ok",), ("secrecy_violation", "mean_secrecy_gap")]:
         n, sums, sumsqs = _gain_moments(cfgs, fields, *gains)
         columns = [_FIELDS.index(name) for name in fields]
         assert n == plan.samples
