@@ -25,8 +25,8 @@ _GAMMA_ARG_CAP = 1e4
 
 _INV_FACTORIAL = tuple(1 / math.factorial(m) for m in range(100))  # 1/m!, m < 100
 
-# Elements per block of the nested secrecy quadrature grid: a block's
-# temporaries (128 KiB each) fit in a core's L2 cache.
+# Elements per block of the nested secrecy quadrature grid: a block's five
+# arrays (128 KiB each) fit in L2 cache, and the block sums set q4/q6's rounding.
 _GRID_BLOCK = 1 << 14
 
 
@@ -36,24 +36,28 @@ class UnsupportedAnalyticsError(ValueError):
 
 # --- incomplete gamma (integer shape) ----------------------------------------
 
-def _upper_reg(shape: int, x, exp_neg_x=None) -> np.ndarray:
+def _upper_reg(shape: int, x, exp_neg_x=None, out=None) -> np.ndarray:
     """Regularized upper incomplete gamma for integer shape.
 
     Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!: up to shape 100 a
     Horner recurrence on 1/m! (a multiply and an add per term, exact to
     rounding) times exp(-x), or ``exp_neg_x`` if the caller holds it.  Above
     shape 100 the sum can overflow where exp(-x) underflows, so every entry
-    comes from ``scipy.special.gammaincc``.
+    comes from ``scipy.special.gammaincc``.  With ``out`` the result is
+    written there and ``x``, a float64 array, is overwritten.
     """
-    x = np.minimum(np.asarray(x, dtype=np.float64), _GAMMA_ARG_CAP)
+    if out is None:  # x becomes a float64 copy that the call may overwrite
+        out = np.empty_like(x := np.array(x, dtype=np.float64))
+    np.minimum(x, _GAMMA_ARG_CAP, out=x)
     if shape > 100:
         from scipy.special import gammaincc  # imported only here: scipy is slow to load
-        return gammaincc(shape, x)
-    p = np.full_like(x, _INV_FACTORIAL[shape - 1])
-    for c in reversed(_INV_FACTORIAL[:shape - 1]):  # p = c + p*x, in place
-        p *= x
-        p += c
-    return p * (np.exp(-x) if exp_neg_x is None else exp_neg_x)
+        return gammaincc(shape, x, out=out)
+    out.fill(_INV_FACTORIAL[shape - 1])
+    for c in reversed(_INV_FACTORIAL[:shape - 1]):  # out = c + out*x, in place
+        out *= x
+        out += c
+    out *= np.exp(np.negative(x, out=x), out=x) if exp_neg_x is None else exp_neg_x
+    return out
 
 
 # --- quadrature ---------------------------------------------------------------
@@ -77,13 +81,6 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
     i = np.arange(1, n_nodes + 1)
     nodes = np.cos((2 * i - 1) * np.pi / (2 * n_nodes))
     return QuadratureRule(nodes, np.full(n_nodes, np.pi / n_nodes))
-
-
-def _cheb_integral(rule: QuadratureRule, lo: float, hi: float, f) -> float:
-    """Integrate f over [lo, hi] with the Chebyshev-Gauss rule."""
-    half = 0.5 * (hi - lo)
-    t = half * rule.nodes + 0.5 * (hi + lo)
-    return float(np.sum(rule.weights * half * f(t) * np.sqrt(1.0 - rule.nodes**2)))
 
 
 # --- parameter bundle ---------------------------------------------------------
@@ -159,25 +156,24 @@ class UnicastOutageResult:
     refinement_delta: float | None = None
 
 
-def _reciprocal_gain_cdf(p: AnalysisParams, z) -> np.ndarray:
-    """CDF of 1/z1: P(1/z1 <= z) = Gamma(m, 1/z)/(m-1)! for z > 0."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.zeros_like(z)
-    pos = z > 0
-    out[pos] = _upper_reg(p.m, 1.0 / z[pos])
-    return out
-
-
-def _reciprocal_min_pdf(p: AnalysisParams, x) -> np.ndarray:
-    """Density of 1/u where u is the min of k-1 unit exponentials."""
-    x = np.asarray(x, dtype=np.float64)
-    return (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
-
-
 def _bottleneck_outage_prob(p: AnalysisParams) -> float:
     """q2 = P(eps_m/rho <= z1 < min(phi, u)) = K^-M (U(M, K eps_m/rho) - U(M, K phi))."""
     return float((_upper_reg(p.m, p.k * p.eps_m / p.rho) - _upper_reg(p.m, p.k * p.phi))
                  * float(p.k) ** -p.m)
+
+
+def _unicast_q3(p: AnalysisParams, rule: QuadratureRule) -> float:
+    """q3 = P(outage with the weakest other gain u the bottleneck), by Chebyshev-Gauss
+    on x = 1/u over [a, b]: P(y < 1/z1 <= x) times the density of 1/u, where
+    y = 1/psi - eps_m x / (rho psi)."""
+    half = 0.5 * (p.b - p.a)
+    x = half * rule.nodes + 0.5 * (p.b + p.a)
+    y = 1.0 / p.psi - p.eps_m / (p.rho * p.psi) * x
+    cdf_y = np.zeros_like(y)  # P(1/z1 <= y) = Gamma(M, 1/y)/(M-1)! for y > 0, else 0
+    cdf_y[y > 0] = _upper_reg(p.m, 1.0 / y[y > 0])
+    pdf_x = (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
+    return float(np.sum(rule.weights * half * ((_upper_reg(p.m, 1.0 / x) - cdf_y) * pdf_x)
+                        * np.sqrt(1.0 - rule.nodes**2)))
 
 
 def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
@@ -195,20 +191,10 @@ def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     """
     q1 = multicast_outage_prob(p)
     q2 = _bottleneck_outage_prob(p)
-    slope = p.eps_m / (p.rho * p.psi)
-
-    def integrand(x):
-        return ((_reciprocal_gain_cdf(p, x)
-                 - _reciprocal_gain_cdf(p, 1.0 / p.psi - slope * x))
-                * _reciprocal_min_pdf(p, x))
-
-    q3 = _cheb_integral(rule, p.a, p.b, integrand)
+    q3 = _unicast_q3(p, rule)
     raw = q1 + q2 + q3
-    delta = None
-    if check_refinement:
-        finer = chebyshev_rule(2 * rule.order)
-        raw2 = q1 + q2 + _cheb_integral(finer, p.a, p.b, integrand)
-        delta = abs(raw - raw2)
+    delta = (abs(raw - (q1 + q2 + _unicast_q3(p, chebyshev_rule(2 * rule.order))))
+             if check_refinement else None)
     return UnicastOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q1, q2, q3, delta)
 
 
@@ -281,16 +267,18 @@ def noma_rate_advantage(u: float, x, p: AnalysisParams):
     return float(adv) if adv.ndim == 0 else adv
 
 
-def _minmax_density(eu, ev, k: int):
-    """eu (eu - ev)^(k-3) by repeated squaring (no libm pow): with eu = e^-u,
-    ev = e^-v, the joint min/max density over (k-1)(k-2) ev."""
-    out, base, e = eu, eu - ev, k - 3
+def _minmax_density(eu, ev, k: int, base):
+    """eu (eu - ev)^(k-3), written over eu, by repeated squaring (no libm pow) with
+    ``base`` as scratch: with eu = e^-u, ev = e^-v, the joint min/max density over
+    (k-1)(k-2) ev."""
+    np.subtract(eu, ev, out=base)
+    e = k - 3
     while e:
         if e & 1:
-            out = out * base
+            eu *= base
         if e := e >> 1:
-            base = base * base
-    return out
+            base *= base
+    return eu
 
 
 def joint_minmax_pdf(u, v, k: int):
@@ -298,8 +286,8 @@ def joint_minmax_pdf(u, v, k: int):
     if k < 3:
         raise UnsupportedAnalyticsError(f"joint min/max analytics need K >= 3, got {k}")
     ev = np.exp(-np.asarray(v, dtype=np.float64))
-    pdf = (k - 1) * (k - 2) * ev * _minmax_density(
-        np.exp(-np.asarray(u, dtype=np.float64)), ev, k)
+    eu = np.array(np.broadcast_arrays(np.exp(-np.asarray(u, dtype=np.float64)), ev)[0])
+    pdf = (k - 1) * (k - 2) * ev * _minmax_density(eu, ev, k, np.empty_like(eu))
     return float(pdf) if pdf.ndim == 0 else pdf
 
 
@@ -331,13 +319,14 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     an interval that grows like the SNR and starves the mass region.
     Inner axis: the smallest other gain u on [eps_m/rho, v].
 
-    The grid is evaluated in blocks of outer-axis rows of about
-    ``_GRID_BLOCK`` elements, so a block's temporaries stay in cache and no
-    (na, na) array is built.  An element costs two exps (e^-u serves the
-    density and the incomplete gamma at u), one division, and otherwise
-    multiplies and adds; the per-row factor (k-1)(k-2) e^-v rides in the
-    outer weight.  Each block is summed on its own, so q4 and q6 round
-    differently from a whole-grid sum, by far less than the rule's error.
+    The grid is evaluated in blocks of outer-axis rows of about ``_GRID_BLOCK``
+    elements written into one workspace per call, so a block's arrays stay in
+    cache, no (na, na) array is built and the heap is not trimmed and refaulted
+    between blocks.  An element costs two exps (e^-u serves the density and the
+    incomplete gamma at u), one division, and otherwise multiplies and adds; the
+    per-row factor (k-1)(k-2) e^-v rides in the outer weight.  Each block is
+    summed on its own, so q4 and q6 round differently from a whole-grid sum, by
+    far less than the rule's error.
     """
     thr = p.eps_m / p.rho
     cap = _minmax_tail_cap(p)
@@ -352,15 +341,19 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     outer = inner * 0.5 * (cap - thr) * half * ((p.k - 1) * (p.k - 2)) * ev
     q4 = q6 = 0.0
     rows = max(1, _GRID_BLOCK // n)
+    ws = np.empty((5, min(rows, n), n))  # every block's arrays are views of it
     for r in range(0, n, rows):
         b = slice(r, r + rows)
-        u = half[b, None] * t + 0.5 * (v[b, None] + thr)
-        eu = np.exp(-u)
-        weight = outer[b, None] * inner * _minmax_density(eu, ev[b, None], p.k)
-        with np.errstate(divide="ignore", over="ignore"):
-            shift = p.xi * u / (u - thr)
-        d4 = upper_v[b, None] - _upper_reg(p.m, scaled_v[b, None] + shift)
-        d6 = _upper_reg(p.m, u, eu) - upper_v[b, None]
+        u, eu, weight, d4, d6 = ws[:, :min(rows, n - r)]
+        np.add(np.multiply(half[b, None], t, out=u), 0.5 * (v[b, None] + thr), out=u)
+        np.exp(np.negative(u, out=eu), out=eu)
+        with np.errstate(divide="ignore", over="ignore"):  # shift = xi u / (u - thr)
+            np.divide(np.multiply(p.xi, u, out=d4), np.subtract(u, thr, out=d6), out=d4)
+        np.add(scaled_v[b, None], d4, out=d4)
+        np.subtract(upper_v[b, None], _upper_reg(p.m, d4, out=d6), out=d4)
+        np.subtract(_upper_reg(p.m, u, eu, out=d6), upper_v[b, None], out=d6)
+        np.multiply(np.multiply(outer[b, None], inner, out=weight),  # u is free by now
+                    _minmax_density(eu, ev[b, None], p.k, base=u), out=weight)
         q4 += np.einsum("ij,ij->", weight, d4)
         q6 += np.einsum("ij,ij->", weight, d6)
     return float(q4), float(q6)

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -87,6 +88,9 @@ class Scenario:
             raise ScenarioError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.metrics:
             raise ScenarioError("no metrics requested")
+        for what, values in (("SNR point", self.snr_grid_db), ("metric", self.metrics)):
+            if dup := [getattr(x, "value", x) for x, n in Counter(values).items() if n > 1]:
+                raise ScenarioError(f"repeated {what} {dup[0]}")
         return self
 
 
@@ -243,36 +247,29 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     scenario.validate()
     if mode not in ("analytic", "mc", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
-    run_mc = mode in ("mc", "both")
-    run_analytic = mode in ("analytic", "both")
-    if run_mc and scenario.samples < 1:
-        raise ScenarioError("Monte Carlo requested with samples < 1")
-
-    plan = (SimulationPlan(scenario.samples, scenario.seed, scenario.scheduling,
-                           scenario.oma_beamformer, workers)
-            if run_mc else None)
-
     report = ComparisonReport(scenario)
     csv_rows = {metric: [] for metric in scenario.metrics}
     grid = sorted(scenario.snr_grid_db)
     cfgs = [LinkConfig(10.0 ** (snr_db / 10.0), scenario.r_m, scenario.r_u, scenario.r_s)
             for snr_db in grid]
-    # every grid point reuses windows [0, samples): one pass, one pool
-    mcs = (estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), plan,
-                         stream_base=0) if run_mc else [{}] * len(cfgs))
+    mcs = [{}] * len(cfgs)
+    if mode != "analytic":  # every point reuses windows [0, samples): one pass, one pool
+        mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), SimulationPlan(
+            scenario.samples, scenario.seed, scenario.scheduling, scenario.oma_beamformer,
+            workers), stream_base=0)
+    kinds = () if mode == "mc" else dict.fromkeys(
+        OUTAGE_RATE_OF.get(metric, (metric,))[0] for metric in scenario.metrics)
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):
-        closed = {}  # each closed form runs once per point
+        closed = {}  # the closed form of each probability kind, once per point
+        for kind in kinds:
+            try:
+                closed[kind] = analytic_value(kind, cfg, scenario.m, scenario.k,
+                                              scenario.na, scenario.scheduling)
+            except UnsupportedAnalyticsError as exc:
+                if str(exc) not in report.notes:
+                    report.notes.append(str(exc))
         for metric in scenario.metrics:
-            kind = OUTAGE_RATE_OF.get(metric, (metric,))[0]
-            if run_analytic and kind not in closed:
-                closed[kind] = None
-                try:
-                    closed[kind] = analytic_value(kind, cfg, scenario.m, scenario.k,
-                                                  scenario.na, scenario.scheduling)
-                except UnsupportedAnalyticsError as exc:
-                    if str(exc) not in report.notes:
-                        report.notes.append(str(exc))
-            p = closed.get(kind)
+            p = closed.get(OUTAGE_RATE_OF.get(metric, (metric,))[0])
             exact = (None if p is None
                      else derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)))
             for method, est in (("analytic", exact), ("mc", mc.get(metric))):

@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +447,38 @@ def test_secrecy_quadrature_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+_BITS = json.loads((Path(__file__).parent / "data" / "closed_form_bits.json").read_text())
+
+
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+_POINTS = [(kind, pt) for kind in ("unicast", "secrecy") for pt in _BITS[kind]]
+
+
+@pytest.mark.parametrize("kind, point", _POINTS, ids=[
+    "-".join([kind] + [f"{key}{val:g}" for key, val in pt.items() if key != "bits"])
+    for kind, pt in _POINTS])
+def test_closed_forms_match_recorded_bits(kind, point):
+    """Every result field, refinement delta included, equals the float.hex
+    recorded before q3 and the secrecy block loop were rewritten in place
+    (the golden CSVs fix only 9 digits).  The points cover M = 10 and 2 at
+    na = 20, M = 150 (the gammaincc path) for both closed forms, and for the
+    secrecy quadrature a partial last block (na = 500), na = 2000, density
+    powers 0 and 1 (K = 3, 4) and r_s = 0..3.  The probe pins the library
+    functions the bits rest on: where exp, cos or gammaincc round otherwise,
+    the recorded bits do not apply."""
+    probe, x = _BITS["probe"], np.linspace(0.0, 40.0, 97)
+    if (_hexes(np.exp(-x)) != probe["exp"]
+            or _hexes(chebyshev_rule(7).nodes) != probe["nodes"]
+            or _hexes(special.gammaincc(150, 100.0 + x)) != probe["gammaincc"]):
+        pytest.skip("exp, cos or gammaincc round differently from the recording's build")
+    p = AnalysisParams.from_link(point["m"], point["k"], LinkConfig(
+        10.0 ** (point["snr_db"] / 10.0), 1.0, point["r_u"] if kind == "unicast" else 6.0,
+        point.get("r_s", 0.0)))
+    prob = unicast_outage_prob if kind == "unicast" else secrecy_outage_prob
+    assert _hexes(astuple(prob(p, chebyshev_rule(point["na"]), check_refinement=True))) == (
+        point["bits"])

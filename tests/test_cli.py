@@ -180,6 +180,34 @@ def test_repeated_metric_or_snr_point_is_evaluated_once(tmp_path):
     assert scenario.metrics == (MetricKind.UNICAST_OUTAGE, MetricKind.MULTICAST_OUTAGE)
 
 
+def test_repeated_snr_point_or_metric_from_the_api_is_rejected(tmp_path):
+    """The parsers drop repeats, but a Scenario built in code reaches
+    run_scenario as it is; a repeat would write its CSV rows twice."""
+    fig1 = PRESETS["fig1"][0]
+    with pytest.raises(ScenarioError, match="repeated SNR point 0.0"):
+        run_scenario(replace(fig1, snr_grid_db=(0.0, 0.0)), out_dir=tmp_path,
+                     mode="analytic")
+    with pytest.raises(ScenarioError, match="repeated metric unicast_outage"):
+        run_scenario(replace(fig1, metrics=(MetricKind.UNICAST_OUTAGE,) * 2),
+                     out_dir=tmp_path, mode="analytic")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode, code", [("mc", 2), ("both", 2), ("analytic", 0)])
+def test_main_zero_samples(tmp_path, capsys, mode, code):
+    """Zero samples is a config error, one line and no traceback, wherever
+    Monte Carlo runs; an analytic run draws none and writes analytic rows."""
+    assert main(["--scenario", "fig1", "--mode", mode, "--samples", "0", "--snr", "10,20",
+                 "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    rows = [r for path in tmp_path.glob("*.csv") for r in read_csv(path)]
+    if code == 2:
+        assert err.startswith("config error: need at least one sample")
+        assert err.count("\n") == 1 and not rows
+    else:
+        assert err == "" and rows and all(r["method"] == "analytic" for r in rows)
+
+
 @pytest.mark.parametrize("key", ["sampels", "seeed"])
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, key):
     """A misspelt key exits 2 naming it, instead of running with the default."""
