@@ -10,8 +10,7 @@ from .analysis import (AnalysisParams, QuadratureRule, SecrecyOutageResult,
                        unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
                          MetricKind, SecrecyComparison, SimulationPlan,
-                         compare_secrecy_rates, estimate, estimate_many,
-                         scheduling_check, sweep)
+                         compare_secrecy_rates, estimate_many, scheduling_check, sweep)
 from .transmission import LinkConfig
 
 __version__ = "0.1.0"
@@ -21,7 +20,7 @@ __all__ = [
     "LinkConfig", "MRT", "MetricKind", "QuadratureRule", "RANDOM",
     "SecrecyComparison", "SecrecyOutageResult", "SimulationPlan",
     "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule",
-    "compare_secrecy_rates", "estimate", "estimate_many", "joint_minmax_pdf",
+    "compare_secrecy_rates", "estimate_many", "joint_minmax_pdf",
     "multicast_outage_prob", "noma_rate_advantage", "noma_shortfall_bound",
     "scheduling_check", "secrecy_outage_prob", "sweep",
     "unicast_outage_bounds", "unicast_outage_prob",

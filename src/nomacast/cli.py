@@ -76,6 +76,9 @@ class Scenario:
     seed: int = DEFAULT_SEED
 
     def validate(self):
+        # the name is the stem of every output file, so it must not leave --out
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ScenarioError(f"invalid scenario name {self.name!r}")
         if self.m < 1 or self.k < 2:
             raise ScenarioError(f"invalid system size M={self.m}, K={self.k}")
         if not self.snr_grid_db:

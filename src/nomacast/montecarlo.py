@@ -3,10 +3,11 @@
 Realization ``i`` of a run always draws from counter window ``base + i``
 (see :mod:`nomacast.rng`), so the estimate is bit-identical for any chunking
 of the index range and any worker count.  Chunks are reduced to running
-moments and combined in index order; workers (one pool per run) only
-parallelize chunk evaluation.  Gains do not depend on the SNR, so every
-point of a run's SNR grid reuses its windows, drawn and reduced once: point
-estimates stay unbiased but are correlated (common random numbers).
+moments and combined in index order; workers (one pool per
+:func:`estimate_many` call, at most one worker per chunk) only parallelize
+chunk evaluation.  Gains do not depend on the SNR, so every point of a run's
+SNR grid reuses its windows, drawn and reduced once: point estimates stay
+unbiased but are correlated (common random numbers).
 
 Every plan draws the effective gains from their exact joint law, without
 building a channel matrix (see :func:`_sample_gains`).
@@ -212,10 +213,6 @@ class _Outcomes:
     def rs_oma(self):
         return tx.secrecy_rate(self.r1_oma, tx.oma_rate(self.v_oma, self.gamma, self.cfg))
 
-    @cached_property
-    def gap(self):
-        return self.rs_noma - self.rs_oma
-
 
 # field name -> its per-realization value: a float for a ``mean_*`` name, else
 # an event indicator.  The metric fields come first, then three the checks read.
@@ -232,8 +229,8 @@ _FIELD_OF = {
     "mean_oma_unicast_rate": lambda o: o.r1_oma,
     "mean_noma_secrecy_rate": lambda o: o.rs_noma,
     "mean_oma_secrecy_rate": lambda o: o.rs_oma,
-    "mean_secrecy_gap": lambda o: o.gap,
-    "secrecy_violation": lambda o: o.gap < -RATE_EQ_GUARD,
+    "mean_secrecy_gap": lambda o: o.rs_noma - o.rs_oma,
+    "secrecy_violation": lambda o: o.rs_noma - o.rs_oma < -RATE_EQ_GUARD,
     "sched_ok": lambda o: o.z1 >= o.u,
 }
 _FIELDS = tuple(_FIELD_OF)
@@ -249,8 +246,7 @@ def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
     the SNR-free minima are formed once per batch, the rest once per config.
     A metric field's mean is the estimate of the metric of the same name."""
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
-    same_beam = z1_oma is z1 and u_oma is u  # the OMA beam sees the same gains
-    gmin_oma = gmin if same_beam else np.minimum(z1_oma, u_oma)
+    gmin_oma = np.minimum(z1_oma, u_oma)
     sums, sumsqs = np.empty((2, len(cfgs), len(fields)))
     for p, cfg in enumerate(cfgs):
         outcomes = _Outcomes(cfg, z1, u, v, z1_oma, v_oma, gmin, gmin_oma)
@@ -277,7 +273,7 @@ def _run_moments(cfgs, fields, system, plan: SimulationPlan, base: int):
     chunks = [(cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
               for lo in range(0, plan.samples, _CHUNK)]
     if plan.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(chunks))) as pool:
             results = list(pool.map(_chunk_moments, chunks, chunksize=1))
     else:
         results = [_chunk_moments(c) for c in chunks]
@@ -321,23 +317,15 @@ def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int =
 
     ``cfg`` is one LinkConfig (one dict of estimates) or a sequence of them,
     say an SNR grid (one dict per config, all on the same windows).
+    Deterministic for fixed (seed, samples, scheduling, beamformer)
+    regardless of worker count: realization ``i`` always consumes counter
+    window ``stream_base + i``.
     """
     cfgs = [cfg] if isinstance(cfg, LinkConfig) else list(cfg)
     fields = tuple(dict.fromkeys(_field(metric) for metric in metrics))
     out = [{metric: derive_estimate(metric, c, est[_field(metric)]) for metric in metrics}
            for c, est in zip(cfgs, _run_moments(cfgs, fields, system, plan, stream_base))]
     return out[0] if isinstance(cfg, LinkConfig) else out
-
-
-def estimate(metric: MetricKind, cfg: LinkConfig, system,
-             plan: SimulationPlan, stream_base: int = 0) -> Estimate:
-    """Monte Carlo estimate of one metric.
-
-    Deterministic for fixed (seed, samples, scheduling, beamformer)
-    regardless of worker count: realization ``i`` always consumes counter
-    window ``stream_base + i``.
-    """
-    return estimate_many([metric], cfg, system, plan, stream_base)[metric]
 
 
 def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,

@@ -21,7 +21,7 @@ from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
                                noma_rate_advantage, noma_shortfall_bound,
                                secrecy_outage_prob, unicast_outage_prob)
 from nomacast.montecarlo import (MetricKind, SimulationPlan,
-                                 compare_secrecy_rates, estimate, estimate_many,
+                                 compare_secrecy_rates, estimate_many,
                                  scheduling_check, sweep)
 from nomacast.rng import (DOMAIN_GAIN_STATS, bits_to_exponential, bits_to_uniform,
                           window_bits)
@@ -156,8 +156,8 @@ def test_c06_noma_shortfall_probability_bound():
     for idx, snr_db in enumerate([0, 5, 10, 15, 20, 25, 30, 35, 40, 60]):
         point = LinkConfig(10.0 ** (snr_db / 10.0), 1.0, 6.0)
         plan = SimulationPlan(1_000_000, seed=1006)
-        est = estimate(MetricKind.NOMA_TRAILS_OMA, point, (2, 3), plan,
-                       stream_base=idx * plan.samples)
+        est = estimate_many([MetricKind.NOMA_TRAILS_OMA], point, (2, 3), plan,
+                            stream_base=idx * plan.samples)[MetricKind.NOMA_TRAILS_OMA]
         bound = noma_shortfall_bound(AnalysisParams.from_link(2, 3, point))
         margin = est.value - (bound.exact - 3.0 * est.stderr)
         worst_margin = min(worst_margin, margin)

@@ -208,6 +208,28 @@ def test_main_zero_samples(tmp_path, capsys, mode, code):
         assert err == "" and rows and all(r["method"] == "analytic" for r in rows)
 
 
+def test_scenario_name_that_leaves_the_output_directory_is_a_config_error(tmp_path,
+                                                                          capsys):
+    """The name is the stem of every output file: ``../escaped`` would write
+    beside --out, so it exits 2 before anything is written."""
+    cfg_file = tmp_path / "escape.cfg"
+    cfg_file.write_text("[scenario]\nname = ../escaped\nm = 2\nk = 3\nr_m = 1\nr_u = 2\n"
+                        "snr_db = 10\nmetrics = unicast_outage\nsamples = 100\n")
+    before = {p: sorted(p.iterdir()) for p in (tmp_path, tmp_path.parent)}
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: invalid scenario name '../escaped'\n"
+    assert {p: sorted(p.iterdir()) for p in before} == before
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", "..", ".", ""])
+def test_scenario_name_must_be_a_file_stem(tmp_path, name):
+    with pytest.raises(ScenarioError, match="invalid scenario name"):
+        run_scenario(replace(PRESETS["fig1"][0], name=name), out_dir=tmp_path,
+                     mode="analytic")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key", ["sampels", "seeed"])
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, key):
     """A misspelt key exits 2 naming it, instead of running with the default."""
@@ -475,11 +497,14 @@ def test_analytic_csvs_match_golden_files(tmp_path, preset):
 GOLDEN_MC_DIR = Path(__file__).parent / "data" / "golden_mc"
 
 
-@pytest.mark.parametrize("variant", ["fig1", "fig3_random", "fig5_sched"])
+@pytest.mark.parametrize("variant", [
+    "fig1", "fig2_nosched", "fig2_sched", "fig3_mrt", "fig3_equal", "fig3_random",
+    "fig4_rs1", "fig4_rs2", "fig4_rs3", "fig5_nosched", "fig5_sched"])
 def test_mc_csvs_match_golden_files(tmp_path, variant):
     """Monte Carlo CSVs at 8192 samples and 0, 20 and 40 dB reproduce the stored
-    files byte for byte: the (z1, u, v) layout, an unscheduled non-MRT beam and
-    a scheduled plan.  Every value is an exact count or an outage rate of one."""
+    files byte for byte for every preset variant: the (z1, u, v) layout with
+    and without secrecy, unscheduled non-MRT beams and scheduled plans.  Every
+    value is an exact count or an outage rate of one."""
     scenario = next(s for group in PRESETS.values() for s in group if s.name == variant)
     _, paths = run_scenario(replace(scenario, samples=8192, snr_grid_db=(0.0, 20.0, 40.0)),
                             out_dir=tmp_path, mode="mc")

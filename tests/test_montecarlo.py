@@ -13,7 +13,7 @@ from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, Metric
                                  SimulationPlan, _chunk_moments, _field, _FIELD_OF,
                                  _FIELDS, _field_estimates, _gain_moments, _Outcomes,
                                  _sample_gains, compare_secrecy_rates, derive_estimate,
-                                 estimate, estimate_many, scheduling_check, sweep)
+                                 estimate_many, scheduling_check, sweep)
 from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
                           bits_to_uniform, window_bits)
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
@@ -55,15 +55,16 @@ def test_estimate_deterministic_and_worker_independent():
     """Same seed gives bit-identical results for any worker count."""
     plan1 = SimulationPlan(70_000, seed=99, workers=1)
     plan2 = SimulationPlan(70_000, seed=99, workers=2)
-    a = estimate(MetricKind.UNICAST_OUTAGE, CFG, (10, 11), plan1)
-    b = estimate(MetricKind.UNICAST_OUTAGE, CFG, (10, 11), plan2)
+    metric = MetricKind.UNICAST_OUTAGE
+    a = estimate_many([metric], CFG, (10, 11), plan1)[metric]
+    b = estimate_many([metric], CFG, (10, 11), plan2)[metric]
     assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_multicast_outage_closed_form():
     cfg = LinkConfig(rho=10.0, r_m=1.0, r_u=1.0)
-    est = estimate(MetricKind.MULTICAST_OUTAGE, cfg, (1, 2),
-                   SimulationPlan(1_000_000, seed=3))
+    metric = MetricKind.MULTICAST_OUTAGE
+    est = estimate_many([metric], cfg, (1, 2), SimulationPlan(1_000_000, seed=3))[metric]
     expected = 1.0 - math.exp(-0.2)
     assert abs(est.value - expected) <= 3 * est.stderr
 
@@ -71,16 +72,17 @@ def test_multicast_outage_closed_form():
 def test_multicast_outage_closed_form_large_system():
     """Closed form vs a 10^7-draw run at the 16 dB operating point."""
     from nomacast.analysis import AnalysisParams, multicast_outage_prob
-    est = estimate(MetricKind.MULTICAST_OUTAGE, CFG, (10, 11),
-                   SimulationPlan(10_000_000, seed=16, workers=2))
+    metric = MetricKind.MULTICAST_OUTAGE
+    est = estimate_many([metric], CFG, (10, 11),
+                        SimulationPlan(10_000_000, seed=16, workers=2))[metric]
     analytic = multicast_outage_prob(AnalysisParams.from_link(10, 11, CFG))
     assert abs(est.value - analytic) <= 3 * est.stderr
 
 
 def test_unicast_outage_certain_at_tiny_snr():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
-    est = estimate(MetricKind.UNICAST_OUTAGE, cfg, (2, 3),
-                   SimulationPlan(10_000, seed=4))
+    metric = MetricKind.UNICAST_OUTAGE
+    est = estimate_many([metric], cfg, (2, 3), SimulationPlan(10_000, seed=4))[metric]
     assert est.value == 1.0
 
 
@@ -120,17 +122,16 @@ def test_metrics_match_full_matrix_oracle(plan):
 
 
 def test_stderr_scales_with_samples():
-    a = estimate(MetricKind.UNICAST_OUTAGE, CFG, (2, 11),
-                 SimulationPlan(50_000, seed=6))
-    b = estimate(MetricKind.UNICAST_OUTAGE, CFG, (2, 11),
-                 SimulationPlan(100_000, seed=6))
+    metric = MetricKind.UNICAST_OUTAGE
+    a = estimate_many([metric], CFG, (2, 11), SimulationPlan(50_000, seed=6))[metric]
+    b = estimate_many([metric], CFG, (2, 11), SimulationPlan(100_000, seed=6))[metric]
     assert a.stderr / b.stderr == pytest.approx(math.sqrt(2.0), rel=0.10)
 
 
 def test_probability_interval_clamped():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
-    est = estimate(MetricKind.UNICAST_OUTAGE, cfg, (2, 3),
-                   SimulationPlan(500, seed=7))
+    metric = MetricKind.UNICAST_OUTAGE
+    est = estimate_many([metric], cfg, (2, 3), SimulationPlan(500, seed=7))[metric]
     assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
 
 
@@ -146,15 +147,16 @@ def test_outage_rate_metric_transform():
 
 def test_outage_rate_secrecy_needs_target():
     cfg = LinkConfig(rho=10.0, r_m=1.0, r_u=6.0, r_s=0.0)
+    metric = MetricKind.OUTAGE_RATE_SECRECY
     with pytest.raises(ValueError, match="positive"):
-        estimate(MetricKind.OUTAGE_RATE_SECRECY, cfg, (2, 3),
-                 SimulationPlan(100, seed=9))
+        estimate_many([metric], cfg, (2, 3), SimulationPlan(100, seed=9))[metric]
 
 
 def test_sweep_single_point_reduces_to_estimate():
     plan = SimulationPlan(20_000, seed=10)
-    [(snr, via_sweep)] = sweep(MetricKind.UNICAST_OUTAGE, CFG, [16.0], (10, 11), plan)
-    direct = estimate(MetricKind.UNICAST_OUTAGE, CFG, (10, 11), plan)
+    metric = MetricKind.UNICAST_OUTAGE
+    [(snr, via_sweep)] = sweep(metric, CFG, [16.0], (10, 11), plan)
+    direct = estimate_many([metric], CFG, (10, 11), plan)[metric]
     assert snr == 16.0 and via_sweep.value == direct.value
 
 
@@ -475,6 +477,33 @@ def test_noma_unicast_rate_not_below_oma_when_unicast_user_is_not_weakest(
     assert np.all(noma >= oma - RATE_EQ_GUARD)
 
 
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    """A fork-based pool starts every worker it is allowed at its first task,
+    so a run of two chunks asks for two workers however many the plan allows."""
+    import nomacast.montecarlo as montecarlo
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
+    samples = montecarlo._CHUNK + 5000  # two chunks
+    pooled = estimate_many(metrics, CFG, (10, 11), SimulationPlan(samples, 12, workers=64))
+    serial = estimate_many(metrics, CFG, (10, 11), SimulationPlan(samples, 12, workers=1))
+    assert asked == [2] and pooled == serial
+
+
 def test_rejects_too_few_users():
+    metric = MetricKind.UNICAST_OUTAGE
     with pytest.raises(ValueError):
-        estimate(MetricKind.UNICAST_OUTAGE, CFG, (2, 1), SimulationPlan(10, seed=1))
+        estimate_many([metric], CFG, (2, 1), SimulationPlan(10, seed=1))[metric]
