@@ -9,8 +9,7 @@ from .analysis import (AnalysisParams, QuadratureRule, SecrecyOutageResult,
                        secrecy_outage_prob, unicast_outage_bounds,
                        unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
-                         MetricKind, SecrecyComparison, SimulationPlan,
-                         compare_secrecy_rates, estimate_many, scheduling_check, sweep)
+                         MetricKind, SimulationPlan, estimate_many, sweep)
 from .transmission import LinkConfig
 
 __version__ = "0.1.0"
@@ -18,10 +17,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisParams", "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate",
     "LinkConfig", "MRT", "MetricKind", "QuadratureRule", "RANDOM",
-    "SecrecyComparison", "SecrecyOutageResult", "SimulationPlan",
-    "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule",
-    "compare_secrecy_rates", "estimate_many", "joint_minmax_pdf",
-    "multicast_outage_prob", "noma_rate_advantage", "noma_shortfall_bound",
-    "scheduling_check", "secrecy_outage_prob", "sweep",
+    "SecrecyOutageResult", "SimulationPlan", "UnicastOutageResult",
+    "UnsupportedAnalyticsError", "chebyshev_rule", "estimate_many",
+    "joint_minmax_pdf", "multicast_outage_prob", "noma_rate_advantage",
+    "noma_shortfall_bound", "secrecy_outage_prob", "sweep",
     "unicast_outage_bounds", "unicast_outage_prob",
 ]

@@ -85,6 +85,8 @@ class Scenario:
             raise ScenarioError("empty SNR grid")
         if self.na < 1:
             raise ScenarioError(f"invalid node count {self.na}")
+        if self.samples < 0:  # zero is valid: an analytic run draws none
+            raise ScenarioError(f"invalid sample count {self.samples}")
         if self.oma_beamformer not in BEAMFORMER_KINDS:
             raise ScenarioError(f"unknown OMA beamformer {self.oma_beamformer!r}")
         if not 0 <= self.seed < 1 << 64:
@@ -250,6 +252,8 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     scenario.validate()
     if mode not in ("analytic", "mc", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ScenarioError(f"need at least one worker, got {workers}")
     report = ComparisonReport(scenario)
     csv_rows = {metric: [] for metric in scenario.metrics}
     grid = sorted(scenario.snr_grid_db)

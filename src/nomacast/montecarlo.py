@@ -50,6 +50,8 @@ class MetricKind(Enum):
     MEAN_OMA_UNICAST_RATE = "mean_oma_unicast_rate"
     MEAN_NOMA_SECRECY_RATE = "mean_noma_secrecy_rate"
     MEAN_OMA_SECRECY_RATE = "mean_oma_secrecy_rate"
+    MEAN_SECRECY_GAP = "mean_secrecy_gap"
+    SECRECY_VIOLATION = "secrecy_violation"
     OUTAGE_RATE_UNICAST = "outage_rate_unicast"
     OUTAGE_RATE_UNICAST_OMA = "outage_rate_unicast_oma"
     OUTAGE_RATE_SECRECY = "outage_rate_secrecy"
@@ -96,19 +98,6 @@ class Estimate:
     ci_low: float
     ci_high: float
     samples: int
-
-
-@dataclass(frozen=True)
-class SecrecyComparison:
-    """Per-realization NOMA vs OMA secrecy rate comparison.
-
-    ``violation_fraction`` counts realizations where the NOMA secrecy rate
-    falls below the OMA one by more than the floating-point guard;
-    ``mean_gap`` is the average NOMA-minus-OMA secrecy rate.
-    """
-
-    violation_fraction: Estimate
-    mean_gap: Estimate
 
 
 def _min_max(others):
@@ -184,8 +173,8 @@ class _Outcomes:
     field that is not requested costs nothing and no reference cycle keeps
     a chunk's arrays alive."""
 
-    def __init__(self, cfg, z1, u, v, z1_oma, v_oma, gmin, gmin_oma):
-        self.cfg, self.z1, self.u, self.v = cfg, z1, u, v
+    def __init__(self, cfg, z1, v, z1_oma, v_oma, gmin, gmin_oma):
+        self.cfg, self.z1, self.v = cfg, z1, v
         self.z1_oma, self.v_oma, self.gmin, self.gmin_oma = z1_oma, v_oma, gmin, gmin_oma
 
     @cached_property
@@ -215,7 +204,7 @@ class _Outcomes:
 
 
 # field name -> its per-realization value: a float for a ``mean_*`` name, else
-# an event indicator.  The metric fields come first, then three the checks read.
+# an event indicator.
 _FIELD_OF = {
     "multicast_outage": lambda o: o.gmin < o.cfg.eps_m / o.cfg.rho,
     "unicast_outage": lambda o: o.z1 * o.alpha_u2 < o.cfg.eps_u / o.cfg.rho,
@@ -231,7 +220,6 @@ _FIELD_OF = {
     "mean_oma_secrecy_rate": lambda o: o.rs_oma,
     "mean_secrecy_gap": lambda o: o.rs_noma - o.rs_oma,
     "secrecy_violation": lambda o: o.rs_noma - o.rs_oma < -RATE_EQ_GUARD,
-    "sched_ok": lambda o: o.z1 >= o.u,
 }
 _FIELDS = tuple(_FIELD_OF)
 
@@ -244,12 +232,12 @@ def _field(metric: MetricKind) -> str:
 def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
     """Batch size and (configs, fields) sums and squares of the named fields;
     the SNR-free minima are formed once per batch, the rest once per config.
-    A metric field's mean is the estimate of the metric of the same name."""
+    A field's mean is the estimate of the metric of the same name."""
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
     gmin_oma = np.minimum(z1_oma, u_oma)
     sums, sumsqs = np.empty((2, len(cfgs), len(fields)))
     for p, cfg in enumerate(cfgs):
-        outcomes = _Outcomes(cfg, z1, u, v, z1_oma, v_oma, gmin, gmin_oma)
+        outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, gmin, gmin_oma)
         for i, name in enumerate(fields):
             x = _FIELD_OF[name](outcomes)  # an indicator is its own square, its count exact
             sums[p, i] = np.count_nonzero(x) if x.dtype == bool else x.sum()
@@ -338,14 +326,3 @@ def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,
     return [(snr_db, est[metric]) for snr_db, est
             in zip(snr_grid_db, estimate_many([metric], cfgs, system, plan))]
 
-
-def scheduling_check(cfg: LinkConfig, system, plan: SimulationPlan) -> Estimate:
-    """Fraction of realizations with z1 >= u (must be 1.0 under scheduling)."""
-    return _run_moments([cfg], ("sched_ok",), system, plan, 0)[0]["sched_ok"]
-
-
-def compare_secrecy_rates(cfg: LinkConfig, system,
-                          plan: SimulationPlan) -> SecrecyComparison:
-    """Head-to-head NOMA vs OMA secrecy rates over shared realizations."""
-    [est] = _run_moments([cfg], ("secrecy_violation", "mean_secrecy_gap"), system, plan, 0)
-    return SecrecyComparison(est["secrecy_violation"], est["mean_secrecy_gap"])

@@ -33,8 +33,10 @@ def _key(seed: int, word: int) -> np.ndarray:
 
 
 def bits_to_uniform(bits: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in (0, 1]: the top 2^11 words give exactly 1.0."""
-    return ((bits >> _SHIFT11).astype(np.float64) + 0.5) * 2.0**-53
+    """Map raw 64-bit words to doubles in the open interval (0, 1): the top 2^11
+    words, which round to 1.0, give the largest double below 1."""
+    u = ((bits >> _SHIFT11).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def bits_to_exponential(bits: np.ndarray) -> np.ndarray:

@@ -20,9 +20,8 @@ from scipy import special
 from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
                                noma_rate_advantage, noma_shortfall_bound,
                                secrecy_outage_prob, unicast_outage_prob)
-from nomacast.montecarlo import (MetricKind, SimulationPlan,
-                                 compare_secrecy_rates, estimate_many,
-                                 scheduling_check, sweep)
+from nomacast.montecarlo import (MetricKind, SimulationPlan, _sample_gains,
+                                 estimate_many, sweep)
 from nomacast.rng import (DOMAIN_GAIN_STATS, bits_to_exponential, bits_to_uniform,
                           window_bits)
 from nomacast.transmission import LinkConfig, power_fraction, time_fraction
@@ -175,15 +174,17 @@ def test_c07_noma_secrecy_rate_dominates_oma():
     assert pilot["plan"]["samples"] == 10_000_000  # provenance of the bound
     cfg = LinkConfig(10.0 ** 4.0, r_m=1.0, r_u=6.0)
     plan = SimulationPlan(1_000_000, seed=1007)
-    cmp = compare_secrecy_rates(cfg, (10, 11), plan)
-    gap_ok = cmp.mean_gap.value >= -3.0 * cmp.mean_gap.stderr
+    got = estimate_many((MetricKind.SECRECY_VIOLATION, MetricKind.MEAN_SECRECY_GAP),
+                        cfg, (10, 11), plan)
+    gap, violation = got[MetricKind.MEAN_SECRECY_GAP], got[MetricKind.SECRECY_VIOLATION]
+    gap_ok = gap.value >= -3.0 * gap.stderr
     bound = (pilot["violation_fraction"]
-             + 3.0 * (pilot["violation_stderr"] + cmp.violation_fraction.stderr))
-    viol_ok = cmp.violation_fraction.value <= bound
+             + 3.0 * (pilot["violation_stderr"] + violation.stderr))
+    viol_ok = violation.value <= bound
     ok = gap_ok and viol_ok
-    assert _report(7, ok, f"mean gap {cmp.mean_gap.value:.4f} "
-                          f"(+-{cmp.mean_gap.stderr:.1e}), violation fraction "
-                          f"{cmp.violation_fraction.value:.2e} <= pilot bound "
+    assert _report(7, ok, f"mean gap {gap.value:.4f} "
+                          f"(+-{gap.stderr:.1e}), violation fraction "
+                          f"{violation.value:.2e} <= pilot bound "
                           f"{bound:.2e}")
 
 
@@ -312,9 +313,12 @@ def test_c11_quadrature_against_adaptive_oracle():
 
 def test_c12_scheduling_gain_dominance_exact():
     """With the strongest user scheduled, z1 >= u on every realization."""
-    cfg = LinkConfig(100.0, r_m=1.0, r_u=6.0, r_s=2.0)
     plan = SimulationPlan(1_000_000, seed=1012, scheduling=True, workers=2)
-    frac = scheduling_check(cfg, (2, 11), plan)
-    ok = frac.value == 1.0
-    assert _report(12, ok, f"z1 >= u on fraction {frac.value:.7f} of 10^6 draws "
+    held = 0
+    for lo in range(0, plan.samples, 1 << 16):  # the engine's chunks, one at a time
+        z1, u, *_ = _sample_gains(2, 11, plan, lo, min(1 << 16, plan.samples - lo))
+        held += np.count_nonzero(z1 >= u)
+    frac = held / plan.samples
+    ok = frac == 1.0
+    assert _report(12, ok, f"z1 >= u on fraction {frac:.7f} of 10^6 draws "
                            f"(required: exactly 1)")

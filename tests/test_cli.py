@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import nomacast
+from nomacast.analysis import AnalysisParams
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, read_csv,
                           run_scenario)
-from nomacast.montecarlo import MetricKind
+from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many
 from nomacast.transmission import LinkConfig
 
 
@@ -206,6 +208,89 @@ def test_main_zero_samples(tmp_path, capsys, mode, code):
         assert err.count("\n") == 1 and not rows
     else:
         assert err == "" and rows and all(r["method"] == "analytic" for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "0", "need at least one worker, got 0"),
+    ("--workers", "-3", "need at least one worker, got -3"),
+    ("--samples", "-5", "invalid sample count -5"),
+], ids=["workers_0", "workers_-3", "samples_-5"])
+def test_main_bad_worker_or_sample_count_is_a_config_error(tmp_path, capsys, mode, flag,
+                                                            value, message):
+    """Every mode rejects them, analytic mode too, before anything is written."""
+    out = tmp_path / "out"
+    assert main(["--scenario", "fig1", "--mode", mode, "--snr", "10", flag, value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+_CFG_HEAD = "[scenario]\nm = 2\nk = 3\nr_m = 1\nr_u = 2\nsnr_db = 10\n"
+_FIG1 = PRESETS["fig1"][0]
+
+
+def _main(*argv):
+    return lambda inputs, out: main([*argv, "--out", str(out)])
+
+
+def _main_on_config(text):
+    def run(inputs, out):
+        path = inputs / "bad.cfg"
+        path.write_text(text)
+        return main(["--config", str(path), "--out", str(out)])
+    return run
+
+
+def _read_bad_header(inputs, out):
+    path = inputs / "bad.csv"
+    path.write_text("snr_db,value\n10,0.5\n")
+    return read_csv(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_main("--scenario", "fig1", "--mode", "analytic", "--k", "1"), 2,
+     "invalid system size M=10, K=1"),
+    (lambda inputs, out: run_scenario(replace(_FIG1, snr_grid_db=()), out), ScenarioError,
+     "empty SNR grid"),
+    (_main("--scenario", "fig1", "--mode", "analytic", "--na", "0"), 2,
+     "invalid node count 0"),
+    (_main_on_config(_CFG_HEAD + "metrics = unicast_outage\noma_beamformer = zf\n"), 2,
+     "unknown OMA beamformer 'zf'"),
+    (lambda inputs, out: run_scenario(replace(_FIG1, metrics=()), out), ScenarioError,
+     "no metrics requested"),
+    (lambda inputs, out: run_scenario(_FIG1, out, mode="fast"), ScenarioError,
+     "unknown mode 'fast'"),
+    (_main_on_config(_CFG_HEAD + "metrics = unicast_outage\nscheduling = maybe\n"), 2,
+     "cannot parse boolean 'maybe'"),
+    (_main_on_config("[other]\nm = 2\n"), 2, "has no [scenario] section"),
+    (_main_on_config(_CFG_HEAD.replace("m = 2", "m = two") + "metrics = unicast_outage\n"),
+     2, "malformed scenario config"),
+    (lambda inputs, out: emit_csv([], out / "empty.csv"), ValueError, "no rows to write"),
+    (_read_bad_header, ScenarioError, "unexpected CSV header"),
+    (lambda inputs, out: AnalysisParams(2, 3, 0.0, 1.0, 1.0), ValueError,
+     "rho must be positive, got 0.0"),
+    (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], LinkConfig(10.0, 1.0, 2.0),
+                                       (0, 3), SimulationPlan(10, 1)), ValueError,
+     "need at least 1 antenna, got 0"),
+], ids=["system_size", "empty_grid", "node_count", "oma_beamformer", "no_metrics",
+        "unknown_mode", "boolean", "no_section", "malformed", "no_rows", "csv_header",
+        "rho", "no_antenna"])
+def test_invalid_input_is_rejected_before_anything_is_written(tmp_path, capsys, call, error,
+                                                              message):
+    """main exits with the code and one stderr line naming the cause; the API
+    raises it.  Neither creates the output directory."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    if isinstance(error, int):
+        assert call(inputs, out) == error
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            call(inputs, out)
+    assert not out.exists()
 
 
 def test_scenario_name_that_leaves_the_output_directory_is_a_config_error(tmp_path,

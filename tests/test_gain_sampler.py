@@ -17,7 +17,7 @@ from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
 from nomacast import montecarlo
 from nomacast.montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan,
                                  _sample_gains)
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
 
 N = 100_000
 SEED = 32
@@ -109,7 +109,8 @@ def test_single_antenna_oma_gains_are_the_mrt_gains(scheduling):
 
 
 def test_top_words_give_a_finite_v(monkeypatch):
-    """The largest words map to a uniform of 1.0; v must stay finite there."""
+    """The largest words map to the largest double below 1, whose 9th root still
+    rounds to 1.0; v must stay finite there."""
     def top_words(seed, domain, first, count, width):
         return np.full((count, width), (1 << 64) - 1, dtype=np.uint64)
     monkeypatch.setattr(montecarlo, "window_bits", top_words)
@@ -124,8 +125,18 @@ def test_scheduled_user_is_the_strongest():
     assert np.all((0.0 <= z1_oma) & (z1_oma <= z1))
 
 
+def test_unicast_gain_beyond_one_product_of_uniforms():
+    """Above M = 18 z1 sums the -log of products of at most 18 uniforms: the sum
+    of its M exponentials to rounding, and Gamma(M) distributed."""
+    m, plan = 40, SimulationPlan(1 << 16, 40)
+    z1 = _sample_gains(m, 11, plan, 0, plan.samples)[0]
+    uni = bits_to_uniform(window_bits(plan.seed, DOMAIN_GAIN_STATS, 0, plan.samples, m + 2))
+    assert np.allclose(z1, -np.log(uni[:, :m]).sum(axis=1), rtol=1e-12, atol=0.0)
+    assert stats.kstest(z1, stats.gamma(m).cdf).pvalue >= KS_MIN_P
+
+
 @settings(derandomize=True, deadline=None)
-@given(m=st.sampled_from([1, 2, 10]), k=st.sampled_from([2, 3, 11]),
+@given(m=st.sampled_from([1, 2, 10, 40]), k=st.sampled_from([2, 3, 11]),
        scheduling=st.booleans(), beamformer=st.sampled_from(BEAMFORMER_KINDS),
        seed=st.integers(0, (1 << 64) - 1), first=st.integers(0, 1 << 40),
        n=st.integers(1, 40), cut=st.integers(0, 40))

@@ -12,8 +12,7 @@ from link_oracle import evaluate_link, gains
 from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
                                  SimulationPlan, _chunk_moments, _field, _FIELD_OF,
                                  _FIELDS, _field_estimates, _gain_moments, _Outcomes,
-                                 _sample_gains, compare_secrecy_rates, derive_estimate,
-                                 estimate_many, scheduling_check, sweep)
+                                 _sample_gains, derive_estimate, estimate_many, sweep)
 from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
                           bits_to_uniform, window_bits)
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
@@ -202,27 +201,33 @@ def test_sweep_rejects_empty_grid():
 
 def test_scheduling_invariant_holds():
     plan = SimulationPlan(20_000, seed=12, scheduling=True)
-    assert scheduling_check(CFG, (3, 5), plan).value == 1.0
+    z1, u, *_ = _sample_gains(3, 5, plan, 0, plan.samples)
+    assert np.mean(z1 >= u) == 1.0
 
 
 def test_no_scheduling_sometimes_trails():
     plan = SimulationPlan(20_000, seed=13)
-    assert scheduling_check(CFG, (3, 5), plan).value < 1.0
+    z1, u, *_ = _sample_gains(3, 5, plan, 0, plan.samples)
+    assert np.mean(z1 >= u) < 1.0
+
+
+SECRECY_CHECKS = (MetricKind.SECRECY_VIOLATION, MetricKind.MEAN_SECRECY_GAP)
 
 
 def test_secrecy_comparison_all_multicast_regime():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
-    cmp = compare_secrecy_rates(cfg, (2, 5), SimulationPlan(5_000, seed=14))
-    assert cmp.mean_gap.value == 0.0
-    assert cmp.violation_fraction.value == 0.0
+    got = estimate_many(SECRECY_CHECKS, cfg, (2, 5), SimulationPlan(5_000, seed=14))
+    assert got[MetricKind.MEAN_SECRECY_GAP].value == 0.0
+    assert got[MetricKind.SECRECY_VIOLATION].value == 0.0
 
 
 def test_secrecy_comparison_gap_nonnegative_at_high_snr():
     cfg = LinkConfig(rho=1.0, r_m=1.0, r_u=6.0)
     for snr_db in (10.0, 20.0, 30.0):
-        cmp = compare_secrecy_rates(replace(cfg, rho=10.0 ** (snr_db / 10.0)), (4, 6),
-                                    SimulationPlan(100_000, seed=15))
-        assert cmp.mean_gap.value >= -3 * cmp.mean_gap.stderr
+        got = estimate_many(SECRECY_CHECKS, replace(cfg, rho=10.0 ** (snr_db / 10.0)), (4, 6),
+                            SimulationPlan(100_000, seed=15))
+        gap = got[MetricKind.MEAN_SECRECY_GAP]
+        assert gap.value >= -3 * gap.stderr
 
 
 def _decode_window(words, m, k, plan):
@@ -292,7 +297,6 @@ def _oracle_moments(cfg, realizations):
             "mean_oma_secrecy_rate": out.oma_secrecy,
             "mean_secrecy_gap": gap,
             "secrecy_violation": gap < -RATE_EQ_GUARD,
-            "sched_ok": g.z1 >= g.u,
         }
         for j, name in enumerate(_FIELDS):
             x = float(row[name])
@@ -339,13 +343,12 @@ def test_gain_moments_match_link_oracle_when_any_gain_is_weakest():
 
 def test_every_metric_is_a_kernel_field_or_an_outage_rate_of_one():
     """Each metric has one definition: the kernel field of its name, or (1 - P)
-    times a target where P is such a field."""
+    times a target where P is such a field.  Every kernel field is a metric's."""
     for metric in MetricKind:
         source, attr = OUTAGE_RATE_OF.get(metric, (metric, None))
         assert source.value in _FIELDS and source not in OUTAGE_RATE_OF, metric
         assert (metric.value in _FIELDS) == (attr is None), metric
-    checks = set(_FIELDS) - {metric.value for metric in MetricKind}
-    assert checks == {"mean_secrecy_gap", "secrecy_violation", "sched_ok"}
+    assert set(_FIELDS) == {_field(metric) for metric in MetricKind}
 
 
 @pytest.mark.parametrize("plan", [
@@ -358,7 +361,7 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
     realization for every field but a ``mean_*`` one."""
     z1, u, v, z1_oma, u_oma, v_oma = _sample_gains(3, 5, plan, 0, plan.samples)
     for cfg in (CFG, replace(CFG, rho=1e4, r_s=0.0)):
-        outcomes = _Outcomes(cfg, z1, u, v, z1_oma, v_oma, np.minimum(z1, u),
+        outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, np.minimum(z1, u),
                              np.minimum(z1_oma, u_oma))
         for name in _FIELDS:
             x = _FIELD_OF[name](outcomes)
@@ -371,13 +374,13 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
     SimulationPlan(3000, seed=62, scheduling=True, oma_beamformer=RANDOM),
 ], ids=["same_beam", "two_beams"])
 def test_requested_fields_equal_the_all_fields_evaluation(plan):
-    """The fields each metric reads, and each check's own set, come out exactly
-    as they do when the kernel evaluates every field on the same gains."""
+    """The fields each metric reads, alone and in a pair, come out exactly as
+    they do when the kernel evaluates every field on the same gains."""
     gains = _sample_gains(3, 5, plan, 0, plan.samples)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
     sets = [(_field(metric),) for metric in MetricKind]
-    for fields in sets + [("sched_ok",), ("secrecy_violation", "mean_secrecy_gap")]:
+    for fields in sets + [("secrecy_violation", "mean_secrecy_gap")]:
         n, sums, sumsqs = _gain_moments(cfgs, fields, *gains)
         columns = [_FIELDS.index(name) for name in fields]
         assert n == plan.samples

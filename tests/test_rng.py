@@ -62,6 +62,16 @@ def test_uniform_open_interval():
     assert u.min() > 0.0 and u.max() < 1.0
 
 
+def test_top_words_map_below_one():
+    """Words 2^64 - 2^11 and up would round to 1.0 and give a zero exponential;
+    they map to the largest double below 1, and the word just under is unchanged."""
+    top = np.array([(1 << 64) - 1, (1 << 64) - (1 << 11)], dtype=np.uint64)
+    assert np.all(bits_to_uniform(top) == 1.0 - 2.0**-53)
+    assert np.all(bits_to_exponential(top) > 0.0)
+    below = np.array([(1 << 64) - (1 << 11) - 1], dtype=np.uint64)
+    assert bits_to_uniform(below)[0] == ((1 << 53) - 2 + 0.5) * 2.0**-53 < 1.0 - 2.0**-53
+
+
 def test_transform_moments():
     bits = RngStream(17).raw(200_000)
     u = bits_to_uniform(bits)
