@@ -9,7 +9,7 @@ from .analysis import (AnalysisParams, QuadratureRule, SecrecyOutageResult,
                        secrecy_outage_prob, unicast_outage_bounds,
                        unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
-                         MetricKind, SimulationPlan, estimate_many, sweep)
+                         MetricKind, SimulationPlan, estimate_many)
 from .transmission import LinkConfig
 
 __version__ = "0.1.0"
@@ -20,6 +20,6 @@ __all__ = [
     "SecrecyOutageResult", "SimulationPlan", "UnicastOutageResult",
     "UnsupportedAnalyticsError", "chebyshev_rule", "estimate_many",
     "joint_minmax_pdf", "multicast_outage_prob", "noma_rate_advantage",
-    "noma_shortfall_bound", "secrecy_outage_prob", "sweep",
-    "unicast_outage_bounds", "unicast_outage_prob",
+    "noma_shortfall_bound", "secrecy_outage_prob", "unicast_outage_bounds",
+    "unicast_outage_prob",
 ]

@@ -28,7 +28,7 @@ from .analysis import (AnalysisParams, UnsupportedAnalyticsError, chebyshev_rule
                        multicast_outage_prob, secrecy_outage_prob,
                        unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, MRT, OUTAGE_RATE_OF, Estimate, MetricKind,
-                         SimulationPlan, derive_estimate, estimate_many)
+                         SimulationPlan, derive_estimate, estimate_many, source_metric)
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -202,7 +202,7 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m: int, k: int, na: int,
     there; secrecy analytics additionally need K >= 3 (raised as
     UnsupportedAnalyticsError so pure-analytic runs can exit distinctly).
     """
-    kind = OUTAGE_RATE_OF.get(metric, (metric,))[0]
+    kind = source_metric(metric)
     if scheduling or kind not in _CLOSED_FORMS:
         return None
     p = _CLOSED_FORMS[kind][0](AnalysisParams.from_link(m, k, cfg), chebyshev_rule(na))
@@ -264,8 +264,7 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
         mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), SimulationPlan(
             scenario.samples, scenario.seed, scenario.scheduling, scenario.oma_beamformer,
             workers), stream_base=0)
-    kinds = () if mode == "mc" else dict.fromkeys(
-        OUTAGE_RATE_OF.get(metric, (metric,))[0] for metric in scenario.metrics)
+    kinds = () if mode == "mc" else dict.fromkeys(map(source_metric, scenario.metrics))
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):
         closed = {}  # the closed form of each probability kind, once per point
         for kind in kinds:
@@ -276,7 +275,7 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                 if str(exc) not in report.notes:
                     report.notes.append(str(exc))
         for metric in scenario.metrics:
-            p = closed.get(OUTAGE_RATE_OF.get(metric, (metric,))[0])
+            p = closed.get(source_metric(metric))
             exact = (None if p is None
                      else derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)))
             for method, est in (("analytic", exact), ("mc", mc.get(metric))):
@@ -343,19 +342,18 @@ def _parse_bool(text: str) -> bool:
 def load_scenario_file(path) -> Scenario:
     """Load a scenario from a [scenario] section of key=value lines."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ScenarioError(f"cannot read config file {path}")
-    if not parser.has_section("scenario"):
-        raise ScenarioError(f"{path} has no [scenario] section")
-    sec = parser["scenario"]
-    for key in sec:  # a misspelt key must not fall back to a default silently
-        if key not in _CONFIG_KEYS:
-            raise ScenarioError(f"{path}: unknown key {key!r}")
-    for req in ("m", "k", "r_m", "r_u", "metrics"):
-        if req not in sec:
-            raise ScenarioError(f"{path}: missing required key {req!r}")
-    try:
+    try:  # a duplicate key or section or a missing header is malformed too
+        if not parser.read(path):
+            raise ScenarioError(f"cannot read config file {path}")
+        if not parser.has_section("scenario"):
+            raise ScenarioError(f"{path} has no [scenario] section")
+        sec = parser["scenario"]
+        for key in sec:  # a misspelt key must not fall back to a default silently
+            if key not in _CONFIG_KEYS:
+                raise ScenarioError(f"{path}: unknown key {key!r}")
+        for req in ("m", "k", "r_m", "r_u", "metrics"):
+            if req not in sec:
+                raise ScenarioError(f"{path}: missing required key {req!r}")
         return Scenario(
             name=sec.get("name", Path(path).stem),
             m=sec.getint("m"),
@@ -371,8 +369,9 @@ def load_scenario_file(path) -> Scenario:
             samples=sec.getint("samples", DEFAULT_SAMPLES),
             seed=sec.getint("seed", DEFAULT_SEED),
         ).validate()
-    except (configparser.Error, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario config {path}: {exc}") from None
+    except (configparser.Error, TypeError, ValueError) as exc:  # some span lines
+        raise ScenarioError(f"malformed scenario config {path}: "
+                            f"{' '.join(str(exc).splitlines())}") from None
 
 
 def resolve_scenarios(name=None, config_path=None):

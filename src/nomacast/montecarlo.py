@@ -1,13 +1,14 @@
 """Seeded, chunked Monte Carlo estimation of every link metric.
 
-Realization ``i`` of a run always draws from counter window ``base + i``
-(see :mod:`nomacast.rng`), so the estimate is bit-identical for any chunking
-of the index range and any worker count.  Chunks are reduced to running
-moments and combined in index order; workers (one pool per
-:func:`estimate_many` call, at most one worker per chunk) only parallelize
-chunk evaluation.  Gains do not depend on the SNR, so every point of a run's
-SNR grid reuses its windows, drawn and reduced once: point estimates stay
-unbiased but are correlated (common random numbers).
+:func:`estimate_many` is the one entry point: a list of configs in (say one
+per SNR grid point), one ``{metric: Estimate}`` per config out.  Realization
+``i`` of a run always draws from counter window ``base + i`` (see
+:mod:`nomacast.rng`), so the estimate is bit-identical for any chunking of
+the index range and any worker count.  Chunks are reduced to running moments
+and combined in index order; workers (one pool per call, at most one worker
+per chunk) only parallelize chunk evaluation.  Gains do not depend on the
+SNR, so every config of a call reuses its windows, drawn and reduced once:
+point estimates stay unbiased but are correlated (common random numbers).
 
 Every plan draws the effective gains from their exact joint law, without
 building a channel matrix (see :func:`_sample_gains`).
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -224,9 +225,10 @@ _FIELD_OF = {
 _FIELDS = tuple(_FIELD_OF)
 
 
-def _field(metric: MetricKind) -> str:
-    """The kernel field a metric reads (see OUTAGE_RATE_OF)."""
-    return OUTAGE_RATE_OF.get(metric, (metric,))[0].value
+def source_metric(metric: MetricKind) -> MetricKind:
+    """The metric whose kernel field ``metric`` reads: the outage probability
+    of an outage rate (see OUTAGE_RATE_OF), else ``metric`` itself."""
+    return OUTAGE_RATE_OF.get(metric, (metric,))[0]
 
 
 def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
@@ -249,26 +251,6 @@ def _chunk_moments(args):
     """Moments of the named fields over window indices [lo, hi) at every config."""
     cfgs, fields, m, k, plan, base, lo, hi = args
     return _gain_moments(cfgs, fields, *_sample_gains(m, k, plan, base + lo, hi - lo))
-
-
-def _run_moments(cfgs, fields, system, plan: SimulationPlan, base: int):
-    """Per-config {field: Estimate} of the named fields."""
-    m, k = system
-    if k < 2:
-        raise ValueError(f"need at least 2 users, got {k}")
-    if m < 1:
-        raise ValueError(f"need at least 1 antenna, got {m}")
-    chunks = [(cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
-              for lo in range(0, plan.samples, _CHUNK)]
-    if plan.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(plan.workers, len(chunks))) as pool:
-            results = list(pool.map(_chunk_moments, chunks, chunksize=1))
-    else:
-        results = [_chunk_moments(c) for c in chunks]
-    ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
-    zero = np.zeros((len(cfgs), len(fields)))
-    return [_field_estimates(fields, sum(ns), s, q)
-            for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
 
 
 def _field_estimates(fields, n: int, sums, sumsqs) -> dict:
@@ -300,29 +282,31 @@ def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Es
                     source.samples)
 
 
-def estimate_many(metrics, cfg, system, plan: SimulationPlan, stream_base: int = 0):
-    """Estimate several metrics from one shared set of realizations.
+def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int = 0):
+    """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all
+    from one shared set of realizations.
 
-    ``cfg`` is one LinkConfig (one dict of estimates) or a sequence of them,
-    say an SNR grid (one dict per config, all on the same windows).
     Deterministic for fixed (seed, samples, scheduling, beamformer)
     regardless of worker count: realization ``i`` always consumes counter
     window ``stream_base + i``.
     """
-    cfgs = [cfg] if isinstance(cfg, LinkConfig) else list(cfg)
-    fields = tuple(dict.fromkeys(_field(metric) for metric in metrics))
-    out = [{metric: derive_estimate(metric, c, est[_field(metric)]) for metric in metrics}
-           for c, est in zip(cfgs, _run_moments(cfgs, fields, system, plan, stream_base))]
-    return out[0] if isinstance(cfg, LinkConfig) else out
-
-
-def sweep(metric: MetricKind, cfg: LinkConfig, snr_grid_db, system,
-          plan: SimulationPlan):
-    """One estimate per SNR grid point (dB), all on windows [0, samples)."""
-    snr_grid_db = list(snr_grid_db)
-    if not snr_grid_db:
-        raise ValueError("empty SNR grid")
-    cfgs = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in snr_grid_db]
-    return [(snr_db, est[metric]) for snr_db, est
-            in zip(snr_grid_db, estimate_many([metric], cfgs, system, plan))]
-
+    cfgs = list(cfgs)
+    fields = tuple(dict.fromkeys(source_metric(metric).value for metric in metrics))
+    m, k = system
+    if k < 2:
+        raise ValueError(f"need at least 2 users, got {k}")
+    if m < 1:
+        raise ValueError(f"need at least 1 antenna, got {m}")
+    chunks = [(cfgs, fields, m, k, plan, stream_base, lo, min(lo + _CHUNK, plan.samples))
+              for lo in range(0, plan.samples, _CHUNK)]
+    if plan.workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(chunks))) as pool:
+            results = list(pool.map(_chunk_moments, chunks, chunksize=1))
+    else:
+        results = [_chunk_moments(c) for c in chunks]
+    ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
+    zero = np.zeros((len(cfgs), len(fields)))
+    estimates = [_field_estimates(fields, sum(ns), s, q)
+                 for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
+    return [{metric: derive_estimate(metric, cfg, est[source_metric(metric).value])
+             for metric in metrics} for cfg, est in zip(cfgs, estimates)]

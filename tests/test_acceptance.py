@@ -20,8 +20,7 @@ from scipy import special
 from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
                                noma_rate_advantage, noma_shortfall_bound,
                                secrecy_outage_prob, unicast_outage_prob)
-from nomacast.montecarlo import (MetricKind, SimulationPlan, _sample_gains,
-                                 estimate_many, sweep)
+from nomacast.montecarlo import MetricKind, SimulationPlan, _sample_gains, estimate_many
 from nomacast.rng import (DOMAIN_GAIN_STATS, bits_to_exponential, bits_to_uniform,
                           window_bits)
 from nomacast.transmission import LinkConfig, power_fraction, time_fraction
@@ -41,8 +40,8 @@ def test_c01_unicast_outage_rates_at_16db():
     t0 = time.perf_counter()
     cfg = LinkConfig(10.0 ** 1.6, r_m=1.0, r_u=6.0)
     plan = SimulationPlan(1_000_000, seed=1001)
-    got = estimate_many((MetricKind.OUTAGE_RATE_UNICAST,
-                         MetricKind.OUTAGE_RATE_UNICAST_OMA), cfg, (10, 11), plan)
+    [got] = estimate_many((MetricKind.OUTAGE_RATE_UNICAST,
+                           MetricKind.OUTAGE_RATE_UNICAST_OMA), [cfg], (10, 11), plan)
     noma = got[MetricKind.OUTAGE_RATE_UNICAST].value
     oma = got[MetricKind.OUTAGE_RATE_UNICAST_OMA].value
     elapsed = time.perf_counter() - t0
@@ -57,11 +56,12 @@ def test_c02_unicast_outage_analytic_vs_monte_carlo():
     rule = chebyshev_rule(20)
     worst = 0.0
     ok = True
+    metric = MetricKind.UNICAST_OUTAGE
+    cfgs = [LinkConfig(10.0 ** (snr_db / 10.0), r_m=1.0, r_u=6.0) for snr_db in grid]
     for m in (2, 10):
-        cfg = LinkConfig(1.0, r_m=1.0, r_u=6.0)
         plan = SimulationPlan(1_000_000, seed=1002 + m, workers=2)
-        points = sweep(MetricKind.UNICAST_OUTAGE, cfg, grid, (m, 11), plan)
-        for snr_db, est in points:
+        points = [est[metric] for est in estimate_many([metric], cfgs, (m, 11), plan)]
+        for snr_db, est in zip(grid, points):
             p = AnalysisParams(m, 11, 10.0 ** (snr_db / 10.0), 1.0, 63.0)
             analytic = unicast_outage_prob(p, rule).total
             diff = abs(analytic - est.value)
@@ -155,8 +155,8 @@ def test_c06_noma_shortfall_probability_bound():
     for idx, snr_db in enumerate([0, 5, 10, 15, 20, 25, 30, 35, 40, 60]):
         point = LinkConfig(10.0 ** (snr_db / 10.0), 1.0, 6.0)
         plan = SimulationPlan(1_000_000, seed=1006)
-        est = estimate_many([MetricKind.NOMA_TRAILS_OMA], point, (2, 3), plan,
-                            stream_base=idx * plan.samples)[MetricKind.NOMA_TRAILS_OMA]
+        est = estimate_many([MetricKind.NOMA_TRAILS_OMA], [point], (2, 3), plan,
+                            stream_base=idx * plan.samples)[0][MetricKind.NOMA_TRAILS_OMA]
         bound = noma_shortfall_bound(AnalysisParams.from_link(2, 3, point))
         margin = est.value - (bound.exact - 3.0 * est.stderr)
         worst_margin = min(worst_margin, margin)
@@ -174,8 +174,8 @@ def test_c07_noma_secrecy_rate_dominates_oma():
     assert pilot["plan"]["samples"] == 10_000_000  # provenance of the bound
     cfg = LinkConfig(10.0 ** 4.0, r_m=1.0, r_u=6.0)
     plan = SimulationPlan(1_000_000, seed=1007)
-    got = estimate_many((MetricKind.SECRECY_VIOLATION, MetricKind.MEAN_SECRECY_GAP),
-                        cfg, (10, 11), plan)
+    [got] = estimate_many((MetricKind.SECRECY_VIOLATION, MetricKind.MEAN_SECRECY_GAP),
+                          [cfg], (10, 11), plan)
     gap, violation = got[MetricKind.MEAN_SECRECY_GAP], got[MetricKind.SECRECY_VIOLATION]
     gap_ok = gap.value >= -3.0 * gap.stderr
     bound = (pilot["violation_fraction"]
@@ -192,12 +192,13 @@ def test_c08_secrecy_outage_analytic_vs_monte_carlo():
     """Closed-form secrecy outage tracks simulation across the SNR grid."""
     grid = list(range(0, 41, 5))
     rule = chebyshev_rule(500)
-    cfg = LinkConfig(1.0, r_m=1.0, r_u=6.0, r_s=2.0)
+    metric = MetricKind.SECRECY_OUTAGE
+    cfgs = [LinkConfig(10.0 ** (snr_db / 10.0), r_m=1.0, r_u=6.0, r_s=2.0) for snr_db in grid]
     plan = SimulationPlan(1_000_000, seed=1008, workers=2)
-    points = sweep(MetricKind.SECRECY_OUTAGE, cfg, grid, (10, 11), plan)
+    points = [est[metric] for est in estimate_many([metric], cfgs, (10, 11), plan)]
     worst = 0.0
     ok = True
-    for snr_db, est in points:
+    for snr_db, est in zip(grid, points):
         p = AnalysisParams(10, 11, 10.0 ** (snr_db / 10.0), 1.0, 63.0, 3.0)
         analytic = secrecy_outage_prob(p, rule).total
         diff = abs(analytic - est.value)
@@ -218,9 +219,9 @@ def test_c09_secrecy_outage_rate_point():
     for idx, r_s in enumerate((1.0, 2.0, 3.0)):
         cfg = LinkConfig(10.0, r_m=1.0, r_u=6.0, r_s=r_s)
         plan = SimulationPlan(1_000_000, seed=1009)
-        got = estimate_many((MetricKind.OUTAGE_RATE_SECRECY,
-                             MetricKind.OUTAGE_RATE_SECRECY_OMA), cfg, (10, 11),
-                            plan, stream_base=idx * plan.samples)
+        [got] = estimate_many((MetricKind.OUTAGE_RATE_SECRECY,
+                               MetricKind.OUTAGE_RATE_SECRECY_OMA), [cfg], (10, 11),
+                              plan, stream_base=idx * plan.samples)
         noma = got[MetricKind.OUTAGE_RATE_SECRECY].value
         oma = got[MetricKind.OUTAGE_RATE_SECRECY_OMA].value
         if noma > best[0]:
@@ -240,9 +241,9 @@ def test_c10_scheduling_widens_secrecy_rate_gap():
     for scheduling in (False, True):
         plan = SimulationPlan(1_000_000, seed=1010, scheduling=scheduling,
                               workers=2)
-        got = estimate_many((MetricKind.OUTAGE_RATE_SECRECY,
-                             MetricKind.OUTAGE_RATE_SECRECY_OMA), cfg, (10, 11),
-                            plan)
+        [got] = estimate_many((MetricKind.OUTAGE_RATE_SECRECY,
+                               MetricKind.OUTAGE_RATE_SECRECY_OMA), [cfg], (10, 11),
+                              plan)
         gaps[scheduling] = (got[MetricKind.OUTAGE_RATE_SECRECY].value
                             - got[MetricKind.OUTAGE_RATE_SECRECY_OMA].value)
     ok = abs(gaps[False] - 0.6) <= 0.2 and abs(gaps[True] - 1.1) <= 0.2

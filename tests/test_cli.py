@@ -28,16 +28,43 @@ def test_presets_resolvable_and_valid():
     assert [s.oma_beamformer for s in PRESETS["fig3"]] == ["mrt", "equal", "random"]
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is slow to import and only the large-shape gamma fallback needs it."""
+def _python(*argv):
+    """Run a fresh interpreter with this package's source on its path."""
     src = Path(nomacast.__file__).resolve().parents[1]
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is slow to import and only the large-shape gamma fallback needs it."""
     code = ("import sys, nomacast.cli as cli; cli.resolve_scenarios('fig4'); "
             "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    """A stale ``__all__`` entry would break ``from nomacast import *``."""
+    namespace = {}
+    exec("from nomacast import *", namespace)  # raises AttributeError on a stale name
+    assert set(nomacast.__all__) <= set(namespace)
+
+
+def test_module_entry_point_exits_with_main_status(tmp_path):
+    """``python -m nomacast.cli`` exits with main's return code."""
+    ok = _python("-m", "nomacast.cli", "--scenario", "fig1", "--mode", "analytic",
+                 "--snr", "10", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    assert sorted(p.name for p in (tmp_path / "ok").glob("*.csv")) == [
+        "fig1_outage_rate_unicast.csv", "fig1_unicast_outage.csv"]
+    bad = _python("-m", "nomacast.cli", "--scenario", "fig1", "--mode", "analytic",
+                  "--k", "1", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("config error: ") and bad.stderr.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
 
 
 def test_parse_snr_grid():
@@ -266,16 +293,22 @@ def _read_bad_header(inputs, out):
     (_main_on_config("[other]\nm = 2\n"), 2, "has no [scenario] section"),
     (_main_on_config(_CFG_HEAD.replace("m = 2", "m = two") + "metrics = unicast_outage\n"),
      2, "malformed scenario config"),
+    (_main_on_config(_CFG_HEAD + "m = 3\nmetrics = unicast_outage\n"), 2,
+     "malformed scenario config"),
+    (_main_on_config("m = 2\nk = 3\n"), 2, "malformed scenario config"),
+    (_main_on_config(_CFG_HEAD + "metrics = unicast_outage\n[scenario]\nseed = 1\n"), 2,
+     "malformed scenario config"),
     (lambda inputs, out: emit_csv([], out / "empty.csv"), ValueError, "no rows to write"),
     (_read_bad_header, ScenarioError, "unexpected CSV header"),
     (lambda inputs, out: AnalysisParams(2, 3, 0.0, 1.0, 1.0), ValueError,
      "rho must be positive, got 0.0"),
-    (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], LinkConfig(10.0, 1.0, 2.0),
+    (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], [LinkConfig(10.0, 1.0, 2.0)],
                                        (0, 3), SimulationPlan(10, 1)), ValueError,
      "need at least 1 antenna, got 0"),
 ], ids=["system_size", "empty_grid", "node_count", "oma_beamformer", "no_metrics",
-        "unknown_mode", "boolean", "no_section", "malformed", "no_rows", "csv_header",
-        "rho", "no_antenna"])
+        "unknown_mode", "boolean", "no_section", "malformed", "duplicate_key",
+        "no_section_header", "duplicate_section", "no_rows", "csv_header", "rho",
+        "no_antenna"])
 def test_invalid_input_is_rejected_before_anything_is_written(tmp_path, capsys, call, error,
                                                               message):
     """main exits with the code and one stderr line naming the cause; the API

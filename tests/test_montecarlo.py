@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
 from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
-                                 SimulationPlan, _chunk_moments, _field, _FIELD_OF,
-                                 _FIELDS, _field_estimates, _gain_moments, _Outcomes,
-                                 _sample_gains, derive_estimate, estimate_many, sweep)
+                                 SimulationPlan, _chunk_moments, _FIELD_OF, _FIELDS,
+                                 _field_estimates, _gain_moments, _Outcomes,
+                                 _sample_gains, derive_estimate, estimate_many,
+                                 source_metric)
 from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
                           bits_to_uniform, window_bits)
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
@@ -40,8 +41,8 @@ def test_unscheduled_mrt_estimates_pinned():
     """Unscheduled MRT keeps its (z1, u, v) window layout, value for value."""
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.SECRECY_OUTAGE,
                MetricKind.MEAN_OMA_SECRECY_RATE)
-    got = estimate_many(metrics, CFG, (10, 11), SimulationPlan(70_000, seed=2024),
-                        stream_base=3)
+    [got] = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(70_000, seed=2024),
+                          stream_base=3)
     assert got[MetricKind.UNICAST_OUTAGE].value == 0.3361857142857143
     assert got[MetricKind.UNICAST_OUTAGE].stderr == 0.0017855294049311868
     assert got[MetricKind.SECRECY_OUTAGE].value == 0.7105428571428571
@@ -55,15 +56,15 @@ def test_estimate_deterministic_and_worker_independent():
     plan1 = SimulationPlan(70_000, seed=99, workers=1)
     plan2 = SimulationPlan(70_000, seed=99, workers=2)
     metric = MetricKind.UNICAST_OUTAGE
-    a = estimate_many([metric], CFG, (10, 11), plan1)[metric]
-    b = estimate_many([metric], CFG, (10, 11), plan2)[metric]
+    a = estimate_many([metric], [CFG], (10, 11), plan1)[0][metric]
+    b = estimate_many([metric], [CFG], (10, 11), plan2)[0][metric]
     assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_multicast_outage_closed_form():
     cfg = LinkConfig(rho=10.0, r_m=1.0, r_u=1.0)
     metric = MetricKind.MULTICAST_OUTAGE
-    est = estimate_many([metric], cfg, (1, 2), SimulationPlan(1_000_000, seed=3))[metric]
+    est = estimate_many([metric], [cfg], (1, 2), SimulationPlan(1_000_000, seed=3))[0][metric]
     expected = 1.0 - math.exp(-0.2)
     assert abs(est.value - expected) <= 3 * est.stderr
 
@@ -72,8 +73,8 @@ def test_multicast_outage_closed_form_large_system():
     """Closed form vs a 10^7-draw run at the 16 dB operating point."""
     from nomacast.analysis import AnalysisParams, multicast_outage_prob
     metric = MetricKind.MULTICAST_OUTAGE
-    est = estimate_many([metric], CFG, (10, 11),
-                        SimulationPlan(10_000_000, seed=16, workers=2))[metric]
+    est = estimate_many([metric], [CFG], (10, 11),
+                        SimulationPlan(10_000_000, seed=16, workers=2))[0][metric]
     analytic = multicast_outage_prob(AnalysisParams.from_link(10, 11, CFG))
     assert abs(est.value - analytic) <= 3 * est.stderr
 
@@ -81,7 +82,7 @@ def test_multicast_outage_closed_form_large_system():
 def test_unicast_outage_certain_at_tiny_snr():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
     metric = MetricKind.UNICAST_OUTAGE
-    est = estimate_many([metric], cfg, (2, 3), SimulationPlan(10_000, seed=4))[metric]
+    est = estimate_many([metric], [cfg], (2, 3), SimulationPlan(10_000, seed=4))[0][metric]
     assert est.value == 1.0
 
 
@@ -91,13 +92,14 @@ def _oracle_estimates(metrics, cfg, m, k, plan):
                               plan.seed, plan.samples)
     n, [sums], [sumsqs] = _gain_moments([cfg], _FIELDS, *gains)
     est = _field_estimates(_FIELDS, n, sums, sumsqs)
-    return {metric: derive_estimate(metric, cfg, est[_field(metric)]) for metric in metrics}
+    return {metric: derive_estimate(metric, cfg, est[source_metric(metric).value])
+            for metric in metrics}
 
 
 def test_full_and_direct_modes_agree():
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_NOMA_SECRECY_RATE)
     plan = SimulationPlan(100_000, seed=5)
-    direct = estimate_many(metrics, CFG, (3, 6), plan)
+    [direct] = estimate_many(metrics, [CFG], (3, 6), plan)
     full = _oracle_estimates(metrics, CFG, 3, 6, plan)
     for m in metrics:
         combined = math.hypot(direct[m].stderr, full[m].stderr)
@@ -113,7 +115,7 @@ def test_metrics_match_full_matrix_oracle(plan):
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.UNICAST_OUTAGE_OMA,
                MetricKind.SECRECY_OUTAGE_OMA, MetricKind.MEAN_OMA_SECRECY_RATE,
                MetricKind.NOMA_TRAILS_OMA)
-    engine = estimate_many(metrics, CFG, (3, 6), plan)
+    [engine] = estimate_many(metrics, [CFG], (3, 6), plan)
     oracle = _oracle_estimates(metrics, CFG, 3, 6, plan)
     for m in metrics:
         combined = math.hypot(engine[m].stderr, oracle[m].stderr)
@@ -122,22 +124,22 @@ def test_metrics_match_full_matrix_oracle(plan):
 
 def test_stderr_scales_with_samples():
     metric = MetricKind.UNICAST_OUTAGE
-    a = estimate_many([metric], CFG, (2, 11), SimulationPlan(50_000, seed=6))[metric]
-    b = estimate_many([metric], CFG, (2, 11), SimulationPlan(100_000, seed=6))[metric]
+    a = estimate_many([metric], [CFG], (2, 11), SimulationPlan(50_000, seed=6))[0][metric]
+    b = estimate_many([metric], [CFG], (2, 11), SimulationPlan(100_000, seed=6))[0][metric]
     assert a.stderr / b.stderr == pytest.approx(math.sqrt(2.0), rel=0.10)
 
 
 def test_probability_interval_clamped():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
     metric = MetricKind.UNICAST_OUTAGE
-    est = estimate_many([metric], cfg, (2, 3), SimulationPlan(500, seed=7))[metric]
+    est = estimate_many([metric], [cfg], (2, 3), SimulationPlan(500, seed=7))[0][metric]
     assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
 
 
 def test_outage_rate_metric_transform():
     plan = SimulationPlan(50_000, seed=8)
-    got = estimate_many((MetricKind.UNICAST_OUTAGE, MetricKind.OUTAGE_RATE_UNICAST),
-                        CFG, (10, 11), plan)
+    [got] = estimate_many((MetricKind.UNICAST_OUTAGE, MetricKind.OUTAGE_RATE_UNICAST),
+                          [CFG], (10, 11), plan)
     prob = got[MetricKind.UNICAST_OUTAGE]
     rate = got[MetricKind.OUTAGE_RATE_UNICAST]
     assert rate.value == pytest.approx((1.0 - prob.value) * CFG.r_u, rel=1e-12)
@@ -148,21 +150,18 @@ def test_outage_rate_secrecy_needs_target():
     cfg = LinkConfig(rho=10.0, r_m=1.0, r_u=6.0, r_s=0.0)
     metric = MetricKind.OUTAGE_RATE_SECRECY
     with pytest.raises(ValueError, match="positive"):
-        estimate_many([metric], cfg, (2, 3), SimulationPlan(100, seed=9))[metric]
+        estimate_many([metric], [cfg], (2, 3), SimulationPlan(100, seed=9))[0][metric]
 
 
-def test_sweep_single_point_reduces_to_estimate():
-    plan = SimulationPlan(20_000, seed=10)
-    metric = MetricKind.UNICAST_OUTAGE
-    [(snr, via_sweep)] = sweep(metric, CFG, [16.0], (10, 11), plan)
-    direct = estimate_many([metric], CFG, (10, 11), plan)[metric]
-    assert snr == 16.0 and via_sweep.value == direct.value
+# the SNR grid 0, 4, ..., 40 dB on CFG's rate targets
+SWEEP_CFGS = [replace(CFG, rho=10.0 ** (snr_db / 10.0)) for snr_db in range(0, 44, 4)]
 
 
 def test_sweep_outage_nonincreasing():
     plan = SimulationPlan(40_000, seed=11)
-    points = sweep(MetricKind.UNICAST_OUTAGE, CFG, range(0, 44, 4), (2, 11), plan)
-    for (_, lo), (_, hi) in zip(points[1:], points[:-1]):
+    metric = MetricKind.UNICAST_OUTAGE
+    points = [est[metric] for est in estimate_many([metric], SWEEP_CFGS, (2, 11), plan)]
+    for lo, hi in zip(points[1:], points[:-1]):
         assert lo.value <= hi.value + 3 * math.hypot(lo.stderr, hi.stderr)
 
 
@@ -171,8 +170,8 @@ def test_sweep_outage_exactly_nonincreasing():
     indicators never increase with the SNR, so the curves are monotone exactly."""
     plan = SimulationPlan(40_000, seed=11)
     for metric in (MetricKind.MULTICAST_OUTAGE, MetricKind.UNICAST_OUTAGE):
-        points = sweep(metric, CFG, range(0, 44, 4), (2, 11), plan)
-        for (_, lo), (_, hi) in zip(points[1:], points[:-1]):
+        points = [est[metric] for est in estimate_many([metric], SWEEP_CFGS, (2, 11), plan)]
+        for lo, hi in zip(points[1:], points[:-1]):
             assert lo.value <= hi.value, metric
 
 
@@ -191,12 +190,7 @@ def test_grid_points_equal_single_point_estimates(plan, workers):
     grid = estimate_many(metrics, cfgs, (3, 5), plan, stream_base=0)
     assert len(grid) == len(cfgs)
     for cfg, point in zip(cfgs, grid):
-        assert point == estimate_many(metrics, cfg, (3, 5), plan, stream_base=0)
-
-
-def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        sweep(MetricKind.UNICAST_OUTAGE, CFG, [], (2, 11), SimulationPlan(10, seed=1))
+        assert [point] == estimate_many(metrics, [cfg], (3, 5), plan, stream_base=0)
 
 
 def test_scheduling_invariant_holds():
@@ -216,7 +210,7 @@ SECRECY_CHECKS = (MetricKind.SECRECY_VIOLATION, MetricKind.MEAN_SECRECY_GAP)
 
 def test_secrecy_comparison_all_multicast_regime():
     cfg = LinkConfig(rho=10.0 ** -3, r_m=1.0, r_u=6.0)
-    got = estimate_many(SECRECY_CHECKS, cfg, (2, 5), SimulationPlan(5_000, seed=14))
+    [got] = estimate_many(SECRECY_CHECKS, [cfg], (2, 5), SimulationPlan(5_000, seed=14))
     assert got[MetricKind.MEAN_SECRECY_GAP].value == 0.0
     assert got[MetricKind.SECRECY_VIOLATION].value == 0.0
 
@@ -224,8 +218,8 @@ def test_secrecy_comparison_all_multicast_regime():
 def test_secrecy_comparison_gap_nonnegative_at_high_snr():
     cfg = LinkConfig(rho=1.0, r_m=1.0, r_u=6.0)
     for snr_db in (10.0, 20.0, 30.0):
-        got = estimate_many(SECRECY_CHECKS, replace(cfg, rho=10.0 ** (snr_db / 10.0)), (4, 6),
-                            SimulationPlan(100_000, seed=15))
+        [got] = estimate_many(SECRECY_CHECKS, [replace(cfg, rho=10.0 ** (snr_db / 10.0))],
+                              (4, 6), SimulationPlan(100_000, seed=15))
         gap = got[MetricKind.MEAN_SECRECY_GAP]
         assert gap.value >= -3 * gap.stderr
 
@@ -348,7 +342,7 @@ def test_every_metric_is_a_kernel_field_or_an_outage_rate_of_one():
         source, attr = OUTAGE_RATE_OF.get(metric, (metric, None))
         assert source.value in _FIELDS and source not in OUTAGE_RATE_OF, metric
         assert (metric.value in _FIELDS) == (attr is None), metric
-    assert set(_FIELDS) == {_field(metric) for metric in MetricKind}
+    assert set(_FIELDS) == {source_metric(metric).value for metric in MetricKind}
 
 
 @pytest.mark.parametrize("plan", [
@@ -379,7 +373,7 @@ def test_requested_fields_equal_the_all_fields_evaluation(plan):
     gains = _sample_gains(3, 5, plan, 0, plan.samples)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
-    sets = [(_field(metric),) for metric in MetricKind]
+    sets = [(source_metric(metric).value,) for metric in MetricKind]
     for fields in sets + [("secrecy_violation", "mean_secrecy_gap")]:
         n, sums, sumsqs = _gain_moments(cfgs, fields, *gains)
         columns = [_FIELDS.index(name) for name in fields]
@@ -501,12 +495,12 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = montecarlo._CHUNK + 5000  # two chunks
-    pooled = estimate_many(metrics, CFG, (10, 11), SimulationPlan(samples, 12, workers=64))
-    serial = estimate_many(metrics, CFG, (10, 11), SimulationPlan(samples, 12, workers=1))
+    pooled = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=64))
+    serial = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=1))
     assert asked == [2] and pooled == serial
 
 
 def test_rejects_too_few_users():
     metric = MetricKind.UNICAST_OUTAGE
     with pytest.raises(ValueError):
-        estimate_many([metric], CFG, (2, 1), SimulationPlan(10, seed=1))[metric]
+        estimate_many([metric], [CFG], (2, 1), SimulationPlan(10, seed=1))[0][metric]
