@@ -316,7 +316,7 @@ def parse_snr_grid(text: str):
                 raise ValueError
             return tuple(np.arange(lo, hi + step / 2, step).tolist())
         return tuple(dict.fromkeys(float(x) for x in text.split(",")))
-    except ValueError:
+    except (ValueError, MemoryError):  # MemoryError: more points than memory holds
         raise ScenarioError(f"cannot parse SNR grid {text!r}") from None
 
 

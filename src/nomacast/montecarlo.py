@@ -9,6 +9,8 @@ and combined in index order; workers (one pool per call, at most one worker
 per chunk) only parallelize chunk evaluation.  Gains do not depend on the
 SNR, so every config of a call reuses its windows, drawn and reduced once:
 point estimates stay unbiased but are correlated (common random numbers).
+A chunk draws its windows ``_BLOCK`` at a time, so the sampler's arrays stay
+cache-sized however wide a window is, with the bits of one whole draw.
 
 Every plan draws the effective gains from their exact joint law, without
 building a channel matrix (see :func:`_sample_gains`).
@@ -30,6 +32,7 @@ from .rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 11  # windows per _sample_gains call, so its arrays stay in L2
 _Z95 = 1.959963984540054
 
 # OMA beamformer kinds: maximum ratio transmission toward the unicast user,
@@ -248,9 +251,14 @@ def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
 
 
 def _chunk_moments(args):
-    """Moments of the named fields over window indices [lo, hi) at every config."""
+    """Moments of the named fields over window indices [lo, hi) at every config,
+    the gains drawn _BLOCK windows at a time: the bits of one whole draw."""
     cfgs, fields, m, k, plan, base, lo, hi = args
-    return _gain_moments(cfgs, fields, *_sample_gains(m, k, plan, base + lo, hi - lo))
+    gains = np.empty((6, hi - lo))
+    for r in range(0, hi - lo, _BLOCK):
+        nb = min(_BLOCK, hi - lo - r)
+        gains[:, r:r + nb] = _sample_gains(m, k, plan, base + lo + r, nb)
+    return _gain_moments(cfgs, fields, *gains)
 
 
 def _field_estimates(fields, n: int, sums, sumsqs) -> dict:

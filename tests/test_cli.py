@@ -46,6 +46,17 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "False"
 
 
+def test_readme_quickstart_runs():
+    """The README's one Python block runs in a fresh interpreter and prints
+    the analytic value, the Monte Carlo estimate and its standard error."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [code] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+    values = [float(x) for x in run.stdout.split()]
+    assert len(values) == 3 and all(math.isfinite(x) for x in values)
+
+
 def test_every_public_name_resolves():
     """A stale ``__all__`` entry would break ``from nomacast import *``."""
     namespace = {}
@@ -74,6 +85,17 @@ def test_parse_snr_grid():
         parse_snr_grid("10:0:5")
     with pytest.raises(ScenarioError):
         parse_snr_grid("abc")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "mc"])
+def test_main_snr_grid_too_large_to_build_is_a_config_error(tmp_path, capsys, mode):
+    """10^18 points would need 6.94 EiB, so building the grid fails at once."""
+    code = main(["--scenario", "fig1", "--mode", mode, "--snr", "0:1e18:1",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_metrics():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
-from nomacast.montecarlo import (EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM, MetricKind,
-                                 SimulationPlan, _chunk_moments, _FIELD_OF, _FIELDS,
+from nomacast.montecarlo import (_BLOCK, _CHUNK, EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM,
+                                 MetricKind, SimulationPlan, _chunk_moments, _FIELD_OF, _FIELDS,
                                  _field_estimates, _gain_moments, _Outcomes,
                                  _sample_gains, derive_estimate, estimate_many,
                                  source_metric)
@@ -397,6 +397,54 @@ def test_chunk_moments_leave_no_reference_cycles(plan):
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+_BLOCK_CFGS = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)] + [
+    replace(CFG, rho=1e3, r_s=0.0)]
+_ACROSS_BLOCKS = 3 * _BLOCK + 77  # three whole blocks and a partial one
+
+
+@pytest.mark.parametrize("system, plan, n", [
+    ((10, 11), SimulationPlan(1, seed=71), _ACROSS_BLOCKS),
+    ((40, 11), SimulationPlan(1, seed=72), _ACROSS_BLOCKS),
+    ((3, 2), SimulationPlan(1, seed=73), _ACROSS_BLOCKS),
+    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), _ACROSS_BLOCKS),
+    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), _ACROSS_BLOCKS),
+    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN),
+     _ACROSS_BLOCKS),
+    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), _ACROSS_BLOCKS),
+    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), 300),
+], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
+        "below_one_block"])
+def test_blocked_chunk_equals_one_whole_range_draw(system, plan, n):
+    """A chunk drawn in _BLOCK-window blocks gives every field's sums and squares
+    bit for bit as one draw of its whole window range, from a nonzero first
+    window, so the float sums of the ``mean_*`` fields are pinned too."""
+    m, k = system
+    base, lo = 5, 1000
+    blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, plan, base, lo, lo + n))
+    n_whole, sums, sumsqs = _gain_moments(_BLOCK_CFGS, _FIELDS,
+                                          *_sample_gains(m, k, plan, base + lo, n))
+    assert blocked[0] == n_whole == n
+    assert np.array_equal(blocked[1], sums) and np.array_equal(blocked[2], sumsqs)
+
+
+def test_chunk_sampling_memory_stays_blocked():
+    """One fig5_sched-shaped chunk (M = 10, K = 11, scheduled MRT, 2^16
+    windows) peaks near 8.6 MB when drawn in blocks of 2^11 windows, 14 MB in
+    blocks of 2^12 and 174 MB when drawn whole, where each of the sampler's
+    arrays of 110 words per window is 58 MB."""
+    import tracemalloc
+    plan = SimulationPlan(_CHUNK, seed=79, scheduling=True)
+    cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (20.0, 24.0, 28.0)]
+    tracemalloc.start()
+    try:
+        _chunk_moments((cfgs, ("unicast_outage", "secrecy_outage"), 10, 11, plan, 0, 0,
+                        _CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 @settings(derandomize=True, deadline=None)
