@@ -2,12 +2,11 @@
 multicast/unicast downlink transmission, with Monte Carlo and closed-form
 evaluation cross-validating each other."""
 
-from .analysis import (AnalysisParams, QuadratureRule, SecrecyOutageResult,
-                       UnicastOutageResult, UnsupportedAnalyticsError,
-                       chebyshev_rule, joint_minmax_pdf, multicast_outage_prob,
-                       noma_rate_advantage, noma_shortfall_bound,
-                       secrecy_outage_prob, unicast_outage_bounds,
-                       unicast_outage_prob)
+from .analysis import (QuadratureRule, SecrecyOutageResult, UnicastOutageResult,
+                       UnsupportedAnalyticsError, chebyshev_rule, joint_minmax_pdf,
+                       multicast_outage_prob, noma_rate_advantage,
+                       noma_shortfall_bound, secrecy_outage_prob,
+                       unicast_outage_bounds, unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
                          MetricKind, SimulationPlan, estimate_many)
 from .transmission import LinkConfig
@@ -15,10 +14,9 @@ from .transmission import LinkConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisParams", "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate",
-    "LinkConfig", "MRT", "MetricKind", "QuadratureRule", "RANDOM",
-    "SecrecyOutageResult", "SimulationPlan", "UnicastOutageResult",
-    "UnsupportedAnalyticsError", "chebyshev_rule", "estimate_many",
+    "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate", "LinkConfig", "MRT", "MetricKind",
+    "QuadratureRule", "RANDOM", "SecrecyOutageResult", "SimulationPlan",
+    "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule", "estimate_many",
     "joint_minmax_pdf", "multicast_outage_prob", "noma_rate_advantage",
     "noma_shortfall_bound", "secrecy_outage_prob", "unicast_outage_bounds",
     "unicast_outage_prob",

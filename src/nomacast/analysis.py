@@ -5,8 +5,10 @@ incomplete gamma for integer shapes, the Chebyshev-Gauss rule, the
 three-term unicast outage decomposition with its bounds, the lower bound
 on the probability that NOMA trails OMA, the per-eavesdropper rate
 advantage function, the joint min/max density of the non-unicast gains,
-and the three-term secrecy outage decomposition.  The Monte Carlo engine
-is the independent cross-check for all of it.
+and the three-term secrecy outage decomposition.  Each closed form takes
+the system size (m antennas, k users) and the operating point as the same
+``LinkConfig`` the Monte Carlo engine reads, which is the independent
+cross-check for all of it.
 """
 
 from __future__ import annotations
@@ -83,65 +85,28 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
     return QuadratureRule(nodes, np.full(n_nodes, np.pi / n_nodes))
 
 
-# --- parameter bundle ---------------------------------------------------------
+# --- system size and thresholds ------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisParams:
-    """System size, SNR, and the derived thresholds the closed forms use."""
+def _check_size(m: int, k: int):
+    """Every public closed form checks m and k; LinkConfig checks rho and the rates."""
+    if m < 1:
+        raise ValueError(f"need at least 1 antenna, got {m}")
+    if k < 2:
+        raise ValueError(f"need at least 2 users, got {k}")
 
-    m: int
-    k: int
-    rho: float
-    eps_m: float
-    eps_u: float
-    eps_s: float = 0.0
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need at least 1 antenna, got {self.m}")
-        if self.k < 2:
-            raise ValueError(f"need at least 2 users, got {self.k}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not (self.eps_m > 0 and self.eps_u > 0 and self.eps_s >= 0):
-            raise ValueError("thresholds must be positive (eps_s may be zero)")
-
-    @classmethod
-    def from_link(cls, m: int, k: int, cfg: LinkConfig) -> "AnalysisParams":
-        return cls(m, k, cfg.rho, cfg.eps_m, cfg.eps_u, cfg.eps_s)
-
-    @property
-    def phi(self) -> float:
-        """Gain a bottlenecked unicast user needs for outage-free decoding."""
-        return self.eps_m / self.rho + self.eps_u * (1.0 + self.eps_m) / self.rho
-
-    @property
-    def psi(self) -> float:
-        """Unicast threshold inflated by the multicast protection factor."""
-        return self.eps_u * (1.0 + self.eps_m) / self.rho
-
-    @property
-    def xi(self) -> float:
-        """Secrecy threshold inflated by the multicast protection factor."""
-        return self.eps_s * (1.0 + self.eps_m) / self.rho
-
-    @property
-    def a(self) -> float:
-        """Lower quadrature endpoint on the reciprocal min-gain axis."""
-        return 1.0 / (self.psi * (1.0 + self.eps_m / (self.rho * self.psi)))
-
-    @property
-    def b(self) -> float:
-        """Upper quadrature endpoint, reciprocal of the multicast threshold."""
-        return self.rho / self.eps_m
+def _psi(cfg: LinkConfig) -> float:
+    """Unicast threshold inflated by the multicast protection factor."""
+    return cfg.eps_u * (1.0 + cfg.eps_m) / cfg.rho
 
 
 # --- multicast / unicast outage ------------------------------------------------
 
-def multicast_outage_prob(p: AnalysisParams) -> float:
+def multicast_outage_prob(m: int, k: int, cfg: LinkConfig) -> float:
     """P(min over all K gains < eps_m/rho); identical for NOMA and OMA."""
-    thr = p.eps_m / p.rho
-    return float(1.0 - _upper_reg(p.m, thr) * np.exp(-(p.k - 1) * thr))
+    _check_size(m, k)
+    thr = cfg.eps_m / cfg.rho
+    return float(1.0 - _upper_reg(m, thr) * np.exp(-(k - 1) * thr))
 
 
 @dataclass(frozen=True)
@@ -156,27 +121,31 @@ class UnicastOutageResult:
     refinement_delta: float | None = None
 
 
-def _bottleneck_outage_prob(p: AnalysisParams) -> float:
-    """q2 = P(eps_m/rho <= z1 < min(phi, u)) = K^-M (U(M, K eps_m/rho) - U(M, K phi))."""
-    return float((_upper_reg(p.m, p.k * p.eps_m / p.rho) - _upper_reg(p.m, p.k * p.phi))
-                 * float(p.k) ** -p.m)
+def _bottleneck_outage_prob(m: int, k: int, cfg: LinkConfig) -> float:
+    """q2 = P(eps_m/rho <= z1 < min(phi, u)) = K^-M (U(M, K eps_m/rho) - U(M, K phi)),
+    with phi = eps_m/rho + psi the gain a bottlenecked unicast user needs."""
+    phi = cfg.eps_m / cfg.rho + _psi(cfg)
+    return float((_upper_reg(m, k * cfg.eps_m / cfg.rho) - _upper_reg(m, k * phi))
+                 * float(k) ** -m)
 
 
-def _unicast_q3(p: AnalysisParams, rule: QuadratureRule) -> float:
+def _unicast_q3(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule) -> float:
     """q3 = P(outage with the weakest other gain u the bottleneck), by Chebyshev-Gauss
-    on x = 1/u over [a, b]: P(y < 1/z1 <= x) times the density of 1/u, where
-    y = 1/psi - eps_m x / (rho psi)."""
-    half = 0.5 * (p.b - p.a)
-    x = half * rule.nodes + 0.5 * (p.b + p.a)
-    y = 1.0 / p.psi - p.eps_m / (p.rho * p.psi) * x
+    on x = 1/u over [a, b] = [1/(psi (1 + eps_m/(rho psi))), rho/eps_m]:
+    P(y < 1/z1 <= x) times the density of 1/u, where y = 1/psi - eps_m x / (rho psi)."""
+    eps_m, rho, psi = cfg.eps_m, cfg.rho, _psi(cfg)
+    a, b = 1.0 / (psi * (1.0 + eps_m / (rho * psi))), rho / eps_m
+    half = 0.5 * (b - a)
+    x = half * rule.nodes + 0.5 * (b + a)
+    y = 1.0 / psi - eps_m / (rho * psi) * x
     cdf_y = np.zeros_like(y)  # P(1/z1 <= y) = Gamma(M, 1/y)/(M-1)! for y > 0, else 0
-    cdf_y[y > 0] = _upper_reg(p.m, 1.0 / y[y > 0])
-    pdf_x = (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
-    return float(np.sum(rule.weights * half * ((_upper_reg(p.m, 1.0 / x) - cdf_y) * pdf_x)
+    cdf_y[y > 0] = _upper_reg(m, 1.0 / y[y > 0])
+    pdf_x = (k - 1) / x**2 * np.exp(-(k - 1) / x)
+    return float(np.sum(rule.weights * half * ((_upper_reg(m, 1.0 / x) - cdf_y) * pdf_x)
                         * np.sqrt(1.0 - rule.nodes**2)))
 
 
-def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
+def unicast_outage_prob(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule,
                         check_refinement: bool = False) -> UnicastOutageResult:
     """NOMA unicast outage probability P(R_U1 < r_u).
 
@@ -189,11 +158,11 @@ def unicast_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     count and the difference reported; a delta above ~1e-4 flags a rule
     that is too coarse for the operating point.
     """
-    q1 = multicast_outage_prob(p)
-    q2 = _bottleneck_outage_prob(p)
-    q3 = _unicast_q3(p, rule)
+    q1 = multicast_outage_prob(m, k, cfg)
+    q2 = _bottleneck_outage_prob(m, k, cfg)
+    q3 = _unicast_q3(m, k, cfg, rule)
     raw = q1 + q2 + q3
-    delta = (abs(raw - (q1 + q2 + _unicast_q3(p, chebyshev_rule(2 * rule.order))))
+    delta = (abs(raw - (q1 + q2 + _unicast_q3(m, k, cfg, chebyshev_rule(2 * rule.order))))
              if check_refinement else None)
     return UnicastOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q1, q2, q3, delta)
 
@@ -210,19 +179,19 @@ class OutageBounds:
     q31: float
 
 
-def unicast_outage_bounds(p: AnalysisParams) -> OutageBounds:
+def unicast_outage_bounds(m: int, k: int, cfg: LinkConfig) -> OutageBounds:
     """Lower/upper bounds whose common high-SNR slope is one decade per 10 dB.
 
     The lower bound is the all-multicast branch alone; the upper bound
     replaces the bottleneck-branch integral with the probability that the
     weakest gain lands in the outage-critical window (q31).
     """
-    thr = p.eps_m / p.rho
-    q1 = multicast_outage_prob(p)
-    q2 = _bottleneck_outage_prob(p)
-    q31 = float(np.exp(-(p.k - 1) * thr) - np.exp(-(p.k - 1) * (thr + p.psi)))
+    q1 = multicast_outage_prob(m, k, cfg)
+    q2 = _bottleneck_outage_prob(m, k, cfg)
+    thr = cfg.eps_m / cfg.rho
+    q31 = float(np.exp(-(k - 1) * thr) - np.exp(-(k - 1) * (thr + _psi(cfg))))
     upper = min(1.0, q1 + q2 + q31)
-    return OutageBounds(q1, upper, p.k * thr, q1, q2, q31)
+    return OutageBounds(q1, upper, k * thr, q1, q2, q31)
 
 
 @dataclass(frozen=True)
@@ -233,7 +202,7 @@ class ShortfallBound:
     high_snr: float
 
 
-def noma_shortfall_bound(p: AnalysisParams) -> ShortfallBound:
+def noma_shortfall_bound(m: int, k: int, cfg: LinkConfig) -> ShortfallBound:
     """Probability floor for NOMA failing to beat OMA on the unicast rate.
 
     Whenever the unicast user's own gain is the allocation bottleneck
@@ -241,29 +210,29 @@ def noma_shortfall_bound(p: AnalysisParams) -> ShortfallBound:
     schemes deliver the same rate, so P(z1 > eps_m/rho, z1 < u) lower-bounds
     the comparison probability; it tends to K^-M as the SNR grows.
     """
-    exact = float(_upper_reg(p.m, p.k * p.eps_m / p.rho) * float(p.k) ** -p.m)
-    return ShortfallBound(exact, float(p.k) ** (-p.m))
+    _check_size(m, k)
+    exact = float(_upper_reg(m, k * cfg.eps_m / cfg.rho) * float(k) ** -m)
+    return ShortfallBound(exact, float(k) ** (-m))
 
 
 # --- secrecy ------------------------------------------------------------------
 
-def noma_rate_advantage(u: float, x, p: AnalysisParams):
+def noma_rate_advantage(u: float, x, cfg: LinkConfig):
     """NOMA-minus-OMA unicast rate at gain x when the weakest gain is u.
 
     Vanishes exactly at x = u and grows with x at high SNR, which is what
     makes the NOMA secrecy rate dominate the OMA one: the scheduled user
     (largest gain) benefits more than any eavesdropper.
     """
-    u = float(u)
-    if not u > p.eps_m / p.rho:
+    u, eps_m, rho = float(u), cfg.eps_m, cfg.rho
+    if not u > eps_m / rho:
         raise ValueError("the weakest gain must exceed the multicast threshold")
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < u):
         raise ValueError("gain x must be at least the weakest gain u")
-    r_m = np.log2(1.0 + p.eps_m)
-    boost = (u - p.eps_m / p.rho) / (u * (1.0 + p.eps_m))
-    adv = (np.log2(1.0 + p.rho * x * boost)
-           - (1.0 - r_m / np.log2(1.0 + p.rho * u)) * np.log2(1.0 + p.rho * x))
+    boost = (u - eps_m / rho) / (u * (1.0 + eps_m))
+    adv = (np.log2(1.0 + rho * x * boost)
+           - (1.0 - cfg.r_m / np.log2(1.0 + rho * u)) * np.log2(1.0 + rho * x))
     return float(adv) if adv.ndim == 0 else adv
 
 
@@ -303,13 +272,13 @@ class SecrecyOutageResult:
     refinement_delta: float | None = None
 
 
-def _minmax_tail_cap(p: AnalysisParams) -> float:
+def _minmax_tail_cap(k: int, cfg: LinkConfig) -> float:
     # P(v > cap) <= (k-1) e^-(cap) < 1e-16, so truncating the expectation
     # there changes nothing at double precision.
-    return p.eps_m / p.rho + math.log(p.k - 1.0) + 37.0
+    return cfg.eps_m / cfg.rho + math.log(k - 1.0) + 37.0
 
 
-def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
+def _secrecy_q4_q6(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule):
     """Nested Chebyshev-Gauss evaluation of the two secrecy integrals.
 
     Outer axis: the largest other gain v on [eps_m/rho, cap] (the tail
@@ -328,17 +297,18 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     summed on its own, so q4 and q6 round differently from a whole-grid sum, by
     far less than the rule's error.
     """
-    thr = p.eps_m / p.rho
-    cap = _minmax_tail_cap(p)
+    thr = cfg.eps_m / cfg.rho
+    xi = cfg.eps_s * (1.0 + cfg.eps_m) / cfg.rho  # secrecy threshold, inflated like psi
+    cap = _minmax_tail_cap(k, cfg)
     t = rule.nodes  # both axes use the same rule
     n = rule.order
     v = 0.5 * (cap - thr) * t + 0.5 * (cap + thr)
     half = 0.5 * (v - thr)
     ev = np.exp(-v)
-    scaled_v = (1.0 + p.eps_s) * v  # 2^r_s * v
-    upper_v = _upper_reg(p.m, scaled_v)
+    scaled_v = (1.0 + cfg.eps_s) * v  # 2^r_s * v
+    upper_v = _upper_reg(m, scaled_v)
     inner = rule.weights * np.sqrt(1.0 - t**2)
-    outer = inner * 0.5 * (cap - thr) * half * ((p.k - 1) * (p.k - 2)) * ev
+    outer = inner * 0.5 * (cap - thr) * half * ((k - 1) * (k - 2)) * ev
     q4 = q6 = 0.0
     rows = max(1, _GRID_BLOCK // n)
     ws = np.empty((5, min(rows, n), n))  # every block's arrays are views of it
@@ -348,18 +318,18 @@ def _secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
         np.add(np.multiply(half[b, None], t, out=u), 0.5 * (v[b, None] + thr), out=u)
         np.exp(np.negative(u, out=eu), out=eu)
         with np.errstate(divide="ignore", over="ignore"):  # shift = xi u / (u - thr)
-            np.divide(np.multiply(p.xi, u, out=d4), np.subtract(u, thr, out=d6), out=d4)
+            np.divide(np.multiply(xi, u, out=d4), np.subtract(u, thr, out=d6), out=d4)
         np.add(scaled_v[b, None], d4, out=d4)
-        np.subtract(upper_v[b, None], _upper_reg(p.m, d4, out=d6), out=d4)
-        np.subtract(_upper_reg(p.m, u, eu, out=d6), upper_v[b, None], out=d6)
+        np.subtract(upper_v[b, None], _upper_reg(m, d4, out=d6), out=d4)
+        np.subtract(_upper_reg(m, u, eu, out=d6), upper_v[b, None], out=d6)
         np.multiply(np.multiply(outer[b, None], inner, out=weight),  # u is free by now
-                    _minmax_density(eu, ev[b, None], p.k, base=u), out=weight)
+                    _minmax_density(eu, ev[b, None], k, base=u), out=weight)
         q4 += np.einsum("ij,ij->", weight, d4)
         q6 += np.einsum("ij,ij->", weight, d6)
     return float(q4), float(q6)
 
 
-def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,
+def secrecy_outage_prob(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule,
                         check_refinement: bool = False) -> SecrecyOutageResult:
     """NOMA secrecy outage probability P((z1 - 2^r_s v) alpha_U^2 <= eps_s/rho).
 
@@ -370,15 +340,16 @@ def secrecy_outage_prob(p: AnalysisParams, rule: QuadratureRule,
     floor).  q4 and q6 cover the remaining branches through the nested
     quadrature over the joint min/max density.  Needs K >= 3.
     """
-    if p.k < 3:
+    _check_size(m, k)
+    if k < 3:
         raise UnsupportedAnalyticsError(
-            f"secrecy analytics need K >= 3, got K={p.k}; use Monte Carlo instead")
-    q5 = multicast_outage_prob(p) + noma_shortfall_bound(p).exact
-    q4, q6 = _secrecy_q4_q6(p, rule)
+            f"secrecy analytics need K >= 3, got K={k}; use Monte Carlo instead")
+    q5 = multicast_outage_prob(m, k, cfg) + noma_shortfall_bound(m, k, cfg).exact
+    q4, q6 = _secrecy_q4_q6(m, k, cfg, rule)
     raw = q4 + q5 + q6
     delta = None
     if check_refinement:
         finer = chebyshev_rule(2 * rule.order)
-        f4, f6 = _secrecy_q4_q6(p, finer)
+        f4, f6 = _secrecy_q4_q6(m, k, cfg, finer)
         delta = abs(raw - (f4 + q5 + f6))
     return SecrecyOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q4, q5, q6, delta)

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (AnalysisParams, UnsupportedAnalyticsError, chebyshev_rule,
-                       multicast_outage_prob, secrecy_outage_prob,
-                       unicast_outage_prob)
+from .analysis import (UnsupportedAnalyticsError, chebyshev_rule, multicast_outage_prob,
+                       secrecy_outage_prob, unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, MRT, OUTAGE_RATE_OF, Estimate, MetricKind,
                          SimulationPlan, derive_estimate, estimate_many, source_metric)
 from .transmission import LinkConfig
@@ -44,14 +43,14 @@ DEFAULT_SEED = 12345
 _CONFIG_KEYS = ("name", "m", "k", "r_m", "r_u", "r_s", "snr_db", "na", "metrics",
                 "scheduling", "oma_beamformer", "samples", "seed")  # README grammar
 
-# probability metric -> (closed form of (AnalysisParams, quadrature rule), absolute
-# comparison tolerance); an outage-rate row is (1 - P) * target and scales the
-# tolerance by the target.  The lambdas look the analysis functions up here at
-# call time.
+# probability metric -> (closed form called with (m, k, LinkConfig, quadrature rule),
+# absolute comparison tolerance); the multicast form needs no rule.  An outage-rate
+# row is (1 - P) * target and scales the tolerance by the target.  The lambdas look
+# the analysis functions up here at call time.
 _CLOSED_FORMS = {
-    MetricKind.MULTICAST_OUTAGE: (lambda p, rule: multicast_outage_prob(p), 0.005),
-    MetricKind.UNICAST_OUTAGE: (lambda p, rule: unicast_outage_prob(p, rule).total, 0.005),
-    MetricKind.SECRECY_OUTAGE: (lambda p, rule: secrecy_outage_prob(p, rule).total, 0.01),
+    MetricKind.MULTICAST_OUTAGE: (lambda *p: multicast_outage_prob(*p[:3]), 0.005),
+    MetricKind.UNICAST_OUTAGE: (lambda *p: unicast_outage_prob(*p).total, 0.005),
+    MetricKind.SECRECY_OUTAGE: (lambda *p: secrecy_outage_prob(*p).total, 0.01),
 }
 
 
@@ -205,7 +204,7 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m: int, k: int, na: int,
     kind = source_metric(metric)
     if scheduling or kind not in _CLOSED_FORMS:
         return None
-    p = _CLOSED_FORMS[kind][0](AnalysisParams.from_link(m, k, cfg), chebyshev_rule(na))
+    p = _CLOSED_FORMS[kind][0](m, k, cfg, chebyshev_rule(na))
     return derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)).value
 
 
@@ -316,7 +315,7 @@ def parse_snr_grid(text: str):
                 raise ValueError
             return tuple(np.arange(lo, hi + step / 2, step).tolist())
         return tuple(dict.fromkeys(float(x) for x in text.split(",")))
-    except (ValueError, MemoryError):  # MemoryError: more points than memory holds
+    except ValueError:
         raise ScenarioError(f"cannot parse SNR grid {text!r}") from None
 
 
@@ -474,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except OverflowError as exc:
         print(f"config error: a numeric input is out of range ({exc})", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # every allocation is sized by the inputs (grid, M, K, na)
+        print(f"config error: the request is too large to allocate ({exc})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # a crash must never read as a comparison verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

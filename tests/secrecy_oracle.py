@@ -18,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincc
 
-from nomacast.analysis import (_GAMMA_ARG_CAP, AnalysisParams, QuadratureRule,
-                               _minmax_tail_cap, joint_minmax_pdf)
+from nomacast.analysis import (_GAMMA_ARG_CAP, QuadratureRule, _minmax_tail_cap,
+                               joint_minmax_pdf)
+from nomacast.transmission import LinkConfig
 
 
 def upper_reg(shape: int, x) -> np.ndarray:
@@ -46,7 +47,7 @@ def lower_reg(shape: int, x) -> np.ndarray:
     return 1.0 - upper_reg(shape, x)
 
 
-def secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
+def secrecy_q4_q6(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule):
     """Nested Chebyshev-Gauss evaluation of the two secrecy integrals.
 
     Outer axis: the largest other gain v on [eps_m/rho, cap] (the tail
@@ -56,19 +57,19 @@ def secrecy_q4_q6(p: AnalysisParams, rule: QuadratureRule):
     an interval that grows like the SNR and starves the mass region.
     Inner axis: the smallest other gain u on [eps_m/rho, v].
     """
-    thr = p.eps_m / p.rho
-    cap = _minmax_tail_cap(p)
+    thr = cfg.eps_m / cfg.rho
+    xi = cfg.eps_s * (1.0 + cfg.eps_m) / cfg.rho  # the paper's inflated secrecy threshold
+    cap = _minmax_tail_cap(k, cfg)
     t = rule.nodes  # both axes use the same rule
     v = 0.5 * (cap - thr) * t + 0.5 * (cap + thr)
     half = 0.5 * (v - thr)
     u = half[:, None] * t[None, :] + 0.5 * (v[:, None] + thr)
-    pdf = joint_minmax_pdf(u, v[:, None], p.k)
-    scaled_v = (1.0 + p.eps_s) * v[:, None]  # 2^r_s * v
+    pdf = joint_minmax_pdf(u, v[:, None], k)
+    scaled_v = (1.0 + cfg.eps_s) * v[:, None]  # 2^r_s * v
     with np.errstate(divide="ignore", over="ignore"):
-        shift = p.xi / (1.0 - thr / u)
-    d4 = upper_reg(p.m, scaled_v) - upper_reg(p.m, np.minimum(scaled_v + shift,
-                                                              _GAMMA_ARG_CAP))
-    d6 = lower_reg(p.m, scaled_v) - lower_reg(p.m, u)
+        shift = xi / (1.0 - thr / u)
+    d4 = upper_reg(m, scaled_v) - upper_reg(m, np.minimum(scaled_v + shift, _GAMMA_ARG_CAP))
+    d6 = lower_reg(m, scaled_v) - lower_reg(m, u)
     inner = rule.weights * np.sqrt(1.0 - t**2)
     outer = inner * 0.5 * (cap - thr) * half
     weight = outer[:, None] * inner[None, :] * pdf

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from nomacast.analysis import (AnalysisParams, chebyshev_rule, joint_minmax_pdf,
+from nomacast.analysis import (chebyshev_rule, joint_minmax_pdf,
                                noma_rate_advantage, noma_shortfall_bound,
                                secrecy_outage_prob, unicast_outage_prob)
 from nomacast.montecarlo import MetricKind, SimulationPlan, _sample_gains, estimate_many
@@ -62,8 +62,8 @@ def test_c02_unicast_outage_analytic_vs_monte_carlo():
         plan = SimulationPlan(1_000_000, seed=1002 + m, workers=2)
         points = [est[metric] for est in estimate_many([metric], cfgs, (m, 11), plan)]
         for snr_db, est in zip(grid, points):
-            p = AnalysisParams(m, 11, 10.0 ** (snr_db / 10.0), 1.0, 63.0)
-            analytic = unicast_outage_prob(p, rule).total
+            cfg = LinkConfig(10.0 ** (snr_db / 10.0), 1.0, 6.0)
+            analytic = unicast_outage_prob(m, 11, cfg, rule).total
             diff = abs(analytic - est.value)
             tol = max(0.005, 3.0 * est.stderr)
             worst = max(worst, diff)
@@ -101,7 +101,7 @@ def test_c04_unicast_outage_diversity_slope():
     for m in (2, 10):
         snrs = np.arange(35.0, 45.1, 1.0)
         pn = np.array([unicast_outage_prob(
-            AnalysisParams(m, 11, 10.0 ** (s / 10.0), 1.0, 63.0), rule).total
+            m, 11, LinkConfig(10.0 ** (s / 10.0), 1.0, 6.0), rule).total
             for s in snrs])
         design = np.vstack([snrs / 10.0, np.ones_like(snrs)]).T
         slope = float(np.linalg.lstsq(design, np.log10(pn), rcond=None)[0][0])
@@ -128,9 +128,9 @@ def test_c05_exact_identity_suite():
     # the rate advantage vanishes at the bottleneck gain
     adv_ok = True
     for i in range(n):
-        p = AnalysisParams(2, 5, float(10.0 ** (rng.uniform() * 4.0)), 1.0, 63.0)
-        u = p.eps_m / p.rho + float(rng.exponential()) + 1e-9
-        adv_ok &= abs(noma_rate_advantage(u, u, p)) <= 1e-9
+        cfg = LinkConfig(float(10.0 ** (rng.uniform() * 4.0)), 1.0, 6.0)
+        u = cfg.eps_m / cfg.rho + float(rng.exponential()) + 1e-9
+        adv_ok &= abs(noma_rate_advantage(u, u, cfg)) <= 1e-9
 
     # incomplete gamma complementarity
     gamma_ok = True
@@ -157,11 +157,11 @@ def test_c06_noma_shortfall_probability_bound():
         plan = SimulationPlan(1_000_000, seed=1006)
         est = estimate_many([MetricKind.NOMA_TRAILS_OMA], [point], (2, 3), plan,
                             stream_base=idx * plan.samples)[0][MetricKind.NOMA_TRAILS_OMA]
-        bound = noma_shortfall_bound(AnalysisParams.from_link(2, 3, point))
+        bound = noma_shortfall_bound(2, 3, point)
         margin = est.value - (bound.exact - 3.0 * est.stderr)
         worst_margin = min(worst_margin, margin)
         ok &= margin >= 0.0
-    bound60 = noma_shortfall_bound(AnalysisParams(2, 3, 1e6, 1.0, 63.0))
+    bound60 = noma_shortfall_bound(2, 3, LinkConfig(1e6, 1.0, 6.0))
     limit_ok = abs(bound60.exact - bound60.high_snr) <= 0.01 * bound60.high_snr
     ok &= limit_ok
     assert _report(6, ok, f"worst margin above bound {worst_margin:+.4f}; "
@@ -199,8 +199,8 @@ def test_c08_secrecy_outage_analytic_vs_monte_carlo():
     worst = 0.0
     ok = True
     for snr_db, est in zip(grid, points):
-        p = AnalysisParams(10, 11, 10.0 ** (snr_db / 10.0), 1.0, 63.0, 3.0)
-        analytic = secrecy_outage_prob(p, rule).total
+        cfg = LinkConfig(10.0 ** (snr_db / 10.0), 1.0, 6.0, 2.0)
+        analytic = secrecy_outage_prob(10, 11, cfg, rule).total
         diff = abs(analytic - est.value)
         worst = max(worst, diff)
         ok &= diff <= max(0.01, 3.0 * est.stderr)
@@ -262,42 +262,45 @@ def test_c11_quadrature_against_adaptive_oracle():
 
     # unicast branch integral at the 16 dB operating point
     for m in (2, 10):
-        p = AnalysisParams(m, 11, 10.0 ** 1.6, 1.0, 63.0)
-        q3 = unicast_outage_prob(p, rule).q3
-        q3f = unicast_outage_prob(p, finer).q3
+        k, cfg = 11, LinkConfig(10.0 ** 1.6, 1.0, 6.0)
+        q3 = unicast_outage_prob(m, k, cfg, rule).q3
+        q3f = unicast_outage_prob(m, k, cfg, finer).q3
+        psi = cfg.eps_u * (1.0 + cfg.eps_m) / cfg.rho  # the paper's threshold and endpoints
+        a, b = 1.0 / (psi * (1.0 + cfg.eps_m / (cfg.rho * psi))), cfg.rho / cfg.eps_m
 
         def integrand(x):
-            inner = 1.0 / p.psi - p.eps_m / (p.rho * p.psi) * x
+            inner = 1.0 / psi - cfg.eps_m / (cfg.rho * psi) * x
             hi = special.gammaincc(m, 1.0 / x)
             lo = np.where(inner > 0,
                           special.gammaincc(m, 1.0 / np.maximum(inner, 1e-300)), 0.0)
-            return (hi - lo) * (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
+            return (hi - lo) * (k - 1) / x**2 * np.exp(-(k - 1) / x)
 
-        oracle = adaptive_integrate(integrand, p.a, p.b, 1e-7)
+        oracle = adaptive_integrate(integrand, a, b, 1e-7)
         ok &= abs(q3 - oracle) <= 1e-3 and abs(q3 - q3f) < 1e-4
         details.append(f"q3[M={m}] |d|={abs(q3 - oracle):.1e}")
 
     # secrecy branch integrals at 10 and 20 dB
     for snr_db in (10.0, 20.0):
-        p = AnalysisParams(10, 11, 10.0 ** (snr_db / 10.0), 1.0, 63.0, 3.0)
-        res = secrecy_outage_prob(p, rule)
-        res_f = secrecy_outage_prob(p, finer)
-        thr = p.eps_m / p.rho
-        scale = 1.0 + p.eps_s
+        m, k, cfg = 10, 11, LinkConfig(10.0 ** (snr_db / 10.0), 1.0, 6.0, 2.0)
+        res = secrecy_outage_prob(m, k, cfg, rule)
+        res_f = secrecy_outage_prob(m, k, cfg, finer)
+        thr = cfg.eps_m / cfg.rho
+        xi = cfg.eps_s * (1.0 + cfg.eps_m) / cfg.rho
+        scale = 1.0 + cfg.eps_s
 
         def outer(v, which):
             v = np.atleast_1d(v)
             out = np.empty_like(v)
             for i, vv in enumerate(v):
                 def inner(u):
-                    pdf = joint_minmax_pdf(u, vv, p.k)
+                    pdf = joint_minmax_pdf(u, vv, k)
                     if which == "q4":
                         with np.errstate(divide="ignore"):
-                            shift = p.xi / (1.0 - thr / u)
-                        return pdf * (special.gammainc(p.m, np.minimum(
-                            scale * vv + shift, 1e9)) - special.gammainc(p.m, scale * vv))
-                    return pdf * (special.gammainc(p.m, scale * vv)
-                                  - special.gammainc(p.m, u))
+                            shift = xi / (1.0 - thr / u)
+                        return pdf * (special.gammainc(m, np.minimum(
+                            scale * vv + shift, 1e9)) - special.gammainc(m, scale * vv))
+                    return pdf * (special.gammainc(m, scale * vv)
+                                  - special.gammainc(m, u))
                 out[i] = (adaptive_integrate(inner, thr, vv, 2e-6)
                           if vv > thr * (1 + 1e-12) else 0.0)
             return out

@@ -9,7 +9,7 @@ from scipy import special
 
 import link_oracle as oracle
 import secrecy_oracle
-from nomacast.analysis import (AnalysisParams, UnsupportedAnalyticsError,
+from nomacast.analysis import (UnsupportedAnalyticsError, _psi,
                                chebyshev_rule, joint_minmax_pdf,
                                multicast_outage_prob, noma_rate_advantage,
                                noma_shortfall_bound, secrecy_outage_prob,
@@ -20,8 +20,7 @@ from nomacast.transmission import LinkConfig
 
 
 def params(m, k, snr_db, r_m=1.0, r_u=6.0, r_s=0.0):
-    cfg = LinkConfig(10.0 ** (snr_db / 10.0), r_m, r_u, r_s)
-    return AnalysisParams.from_link(m, k, cfg)
+    return m, k, LinkConfig(10.0 ** (snr_db / 10.0), r_m, r_u, r_s)
 
 
 # --- incomplete gamma ----------------------------------------------------------
@@ -123,49 +122,51 @@ def test_adaptive_integrate_reports_nonconvergence():
         adaptive_integrate(step, 0.0, 1.0, 1e-12, max_depth=3)
 
 
-# --- parameter bundle ----------------------------------------------------------
+# --- thresholds and system size --------------------------------------------------
 
 def test_params_derived_thresholds():
-    p = params(2, 3, 10.0)  # rho = 10, eps_m = 1, eps_u = 63
-    assert p.phi == pytest.approx(0.1 + 12.6)
-    assert p.psi == pytest.approx(12.6)
-    assert p.a == pytest.approx(1.0 / 12.7)
-    assert p.b == pytest.approx(10.0)
+    _, _, cfg = params(2, 3, 10.0)  # rho = 10, eps_m = 1, eps_u = 63
+    assert _psi(cfg) == pytest.approx(12.6)
 
 
 def test_params_interval_ordering():
     rng = RngStream(3)
     for i in range(200):
         snr = float(rng.uniform()) * 60 - 10
-        p = params(int(rng.uniform() * 9) + 1, int(rng.uniform() * 9) + 2, snr,
-                   r_m=0.5 + float(rng.uniform()) * 3, r_u=0.5 + float(rng.uniform()) * 7)
-        assert 0 < p.a < p.b
-        assert p.phi > p.eps_m / p.rho
+        _, _, cfg = params(int(rng.uniform() * 9) + 1, int(rng.uniform() * 9) + 2, snr,
+                           r_m=0.5 + float(rng.uniform()) * 3,
+                           r_u=0.5 + float(rng.uniform()) * 7)
+        assert _psi(cfg) > 0  # so phi = eps_m/rho + psi > eps_m/rho, and 0 < a < b
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        AnalysisParams(0, 3, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        AnalysisParams(2, 1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        AnalysisParams(2, 3, 1.0, 1.0, 1.0, -1.0)
+@pytest.mark.parametrize("m, k, message", [(0, 3, "need at least 1 antenna, got 0"),
+                                           (2, 1, "need at least 2 users, got 1")],
+                         ids=["m0", "k1"])
+@pytest.mark.parametrize("form", [
+    multicast_outage_prob, lambda *p: unicast_outage_prob(*p, chebyshev_rule(8)),
+    unicast_outage_bounds, noma_shortfall_bound,
+    lambda *p: secrecy_outage_prob(*p, chebyshev_rule(8))],
+    ids=["multicast", "unicast", "bounds", "shortfall", "secrecy"])
+def test_closed_forms_reject_bad_system_size(form, m, k, message):
+    """The closed forms check the system size; LinkConfig checks rho and the rates."""
+    with pytest.raises(ValueError, match=message):
+        form(m, k, LinkConfig(10.0, 1.0, 6.0, 2.0))
 
 
 # --- multicast / unicast outage -------------------------------------------------
 
 def test_multicast_outage_hand_value():
     # M=1, K=2, eps_m/rho = 0.1: 1 - e^{-0.1} e^{-0.1}
-    assert multicast_outage_prob(params(1, 2, 10.0)) == pytest.approx(
+    assert multicast_outage_prob(*params(1, 2, 10.0)) == pytest.approx(
         1.0 - math.exp(-0.2), rel=1e-12)
 
 
 def test_multicast_outage_vanishes_at_high_snr():
-    assert multicast_outage_prob(params(4, 5, 120.0)) < 1e-9
+    assert multicast_outage_prob(*params(4, 5, 120.0)) < 1e-9
 
 
 def test_unicast_outage_certain_at_low_snr():
-    res = unicast_outage_prob(params(2, 11, -30.0), chebyshev_rule(20))
+    res = unicast_outage_prob(*params(2, 11, -30.0), chebyshev_rule(20))
     assert res.total == 1.0
     assert abs(res.raw - 1.0) < 1e-3
 
@@ -173,7 +174,7 @@ def test_unicast_outage_certain_at_low_snr():
 def test_unicast_outage_components_in_range():
     for snr in (0.0, 8.0, 16.0, 24.0, 40.0):
         for m in (1, 2, 10):
-            res = unicast_outage_prob(params(m, 11, snr), chebyshev_rule(64))
+            res = unicast_outage_prob(*params(m, 11, snr), chebyshev_rule(64))
             for q in (res.q1, res.q2, res.q3):
                 assert -1e-9 <= q <= 1.0 + 1e-9
             assert -1e-3 <= res.raw <= 1.0 + 1e-3
@@ -182,13 +183,13 @@ def test_unicast_outage_components_in_range():
 
 def test_unicast_outage_nonincreasing_in_snr():
     rule = chebyshev_rule(64)
-    vals = [unicast_outage_prob(params(2, 11, snr), rule).total
+    vals = [unicast_outage_prob(*params(2, 11, snr), rule).total
             for snr in np.arange(0.0, 41.0, 1.0)]
     assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_unicast_outage_refinement_delta():
-    res = unicast_outage_prob(params(10, 11, 16.0), chebyshev_rule(500),
+    res = unicast_outage_prob(*params(10, 11, 16.0), chebyshev_rule(500),
                               check_refinement=True)
     assert res.refinement_delta is not None and res.refinement_delta < 1e-4
 
@@ -196,16 +197,19 @@ def test_unicast_outage_refinement_delta():
 def test_q3_matches_adaptive_oracle():
     """Chebyshev branch integral vs the adaptive integrator at N=500."""
     for m in (2, 10):
-        p = params(m, 11, 16.0)
-        res = unicast_outage_prob(p, chebyshev_rule(500))
+        _, k, cfg = params(m, 11, 16.0)
+        res = unicast_outage_prob(m, k, cfg, chebyshev_rule(500))
+        eps_m, rho = cfg.eps_m, cfg.rho
+        psi = cfg.eps_u * (1.0 + eps_m) / rho  # the paper's thresholds and endpoints
+        a, b = 1.0 / (psi * (1.0 + eps_m / (rho * psi))), rho / eps_m
 
         def integrand(x):
-            inner = 1.0 / p.psi - p.eps_m / (p.rho * p.psi) * x
+            inner = 1.0 / psi - eps_m / (rho * psi) * x
             hi = special.gammaincc(m, 1.0 / x)
             lo = np.where(inner > 0, special.gammaincc(m, 1.0 / np.maximum(inner, 1e-300)), 0.0)
-            return (hi - lo) * (p.k - 1) / x**2 * np.exp(-(p.k - 1) / x)
+            return (hi - lo) * (k - 1) / x**2 * np.exp(-(k - 1) / x)
 
-        oracle = adaptive_integrate(integrand, p.a, p.b, 1e-7)
+        oracle = adaptive_integrate(integrand, a, b, 1e-7)
         assert res.q3 == pytest.approx(oracle, abs=1e-3)
 
 
@@ -214,25 +218,24 @@ def test_outage_bounds_bracket_total():
     for m in (2, 10):
         for snr in (0.0, 10.0, 20.0, 30.0, 40.0):
             p = params(m, 11, snr)
-            res = unicast_outage_prob(p, rule)
-            bounds = unicast_outage_bounds(p)
+            res = unicast_outage_prob(*p, rule)
+            bounds = unicast_outage_bounds(*p)
             assert bounds.lower <= res.total + 1e-9
             assert res.total <= bounds.upper + 1e-9
 
 
 def test_outage_bounds_high_snr_hand_value():
-    assert unicast_outage_bounds(params(2, 3, 40.0)).lower_high_snr == pytest.approx(3e-4)
+    assert unicast_outage_bounds(*params(2, 3, 40.0)).lower_high_snr == pytest.approx(3e-4)
 
 
 def test_shortfall_bound_hand_value():
-    p = AnalysisParams(2, 3, 30.0, 1.0, 63.0)
-    bound = noma_shortfall_bound(p)
+    bound = noma_shortfall_bound(2, 3, LinkConfig(30.0, 1.0, 6.0))
     assert bound.exact == pytest.approx(1.1 * math.exp(-0.1) / 9.0, rel=1e-12)
     assert bound.high_snr == pytest.approx(1.0 / 9.0)
 
 
 def test_shortfall_bound_high_snr_limit():
-    bound = noma_shortfall_bound(params(2, 3, 60.0))
+    bound = noma_shortfall_bound(*params(2, 3, 60.0))
     assert bound.exact == pytest.approx(bound.high_snr, rel=0.01)
 
 
@@ -241,22 +244,22 @@ def test_shortfall_bound_high_snr_limit():
 def test_rate_advantage_zero_at_bottleneck():
     rng = RngStream(31)
     for i in range(200):
-        p = params(2, 5, 10 + 30 * float(rng.uniform()))
-        u = p.eps_m / p.rho + float(rng.exponential()) + 1e-6
-        assert abs(noma_rate_advantage(u, u, p)) < 1e-9
+        _, _, cfg = params(2, 5, 10 + 30 * float(rng.uniform()))
+        u = cfg.eps_m / cfg.rho + float(rng.exponential()) + 1e-6
+        assert abs(noma_rate_advantage(u, u, cfg)) < 1e-9
 
 
 def test_rate_advantage_increases_at_high_snr():
-    p = params(2, 5, 40.0)  # rho = 1e4
-    assert noma_rate_advantage(1.0, 2.0, p) >= noma_rate_advantage(1.0, 1.5, p)
+    _, _, cfg = params(2, 5, 40.0)  # rho = 1e4
+    assert noma_rate_advantage(1.0, 2.0, cfg) >= noma_rate_advantage(1.0, 1.5, cfg)
 
 
 def test_rate_advantage_rejects_bad_inputs():
-    p = params(2, 5, 10.0)
+    _, _, cfg = params(2, 5, 10.0)
     with pytest.raises(ValueError):
-        noma_rate_advantage(0.05, 1.0, p)
+        noma_rate_advantage(0.05, 1.0, cfg)
     with pytest.raises(ValueError):
-        noma_rate_advantage(1.0, 0.5, p)
+        noma_rate_advantage(1.0, 0.5, cfg)
 
 
 def test_rate_advantage_reconstructs_secrecy_gap():
@@ -265,7 +268,6 @@ def test_rate_advantage_reconstructs_secrecy_gap():
     checked = 0
     while checked < 500:
         cfg = LinkConfig(10.0 ** (float(rng.uniform()) * 3 + 0.5), 1.0, 6.0)
-        p = AnalysisParams.from_link(2, 4, cfg)
         z = np.sort(rng.exponential(4))[::-1]  # z[0] >= z[1] >= z[2]
         u = z[-1]
         if u <= cfg.eps_m / cfg.rho:
@@ -275,7 +277,7 @@ def test_rate_advantage_reconstructs_secrecy_gap():
         out = oracle.evaluate_link(oracle.gains(z1, z), cfg)
         direct = ((out.noma_unicast - max(out.noma_eaves))
                   - (out.oma_unicast - max(out.oma_eaves)))
-        via_advantage = noma_rate_advantage(u, z1, p) - noma_rate_advantage(u, z2, p)
+        via_advantage = noma_rate_advantage(u, z1, cfg) - noma_rate_advantage(u, z2, cfg)
         assert direct == pytest.approx(via_advantage, abs=1e-9)
 
 
@@ -348,13 +350,13 @@ def test_joint_pdf_rejects_k2():
 
 def test_secrecy_outage_rejects_k2():
     with pytest.raises(UnsupportedAnalyticsError):
-        secrecy_outage_prob(params(2, 2, 20.0, r_s=2.0), chebyshev_rule(100))
+        secrecy_outage_prob(*params(2, 2, 20.0, r_s=2.0), chebyshev_rule(100))
 
 
 def test_secrecy_outage_components_in_range():
     rule = chebyshev_rule(200)
     for snr in (0.0, 10.0, 20.0, 40.0):
-        res = secrecy_outage_prob(params(10, 11, snr, r_s=2.0), rule)
+        res = secrecy_outage_prob(*params(10, 11, snr, r_s=2.0), rule)
         for q in (res.q4, res.q5, res.q6):
             assert -1e-9 <= q <= 1.0 + 1e-9
         assert -1e-3 <= res.raw <= 1.0 + 1e-3
@@ -362,18 +364,18 @@ def test_secrecy_outage_components_in_range():
 
 
 def test_secrecy_outage_certain_at_low_snr():
-    res = secrecy_outage_prob(params(10, 11, -20.0, r_s=2.0), chebyshev_rule(100))
+    res = secrecy_outage_prob(*params(10, 11, -20.0, r_s=2.0), chebyshev_rule(100))
     assert res.total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_secrecy_outage_refinement_delta():
-    res = secrecy_outage_prob(params(10, 11, 20.0, r_s=2.0), chebyshev_rule(500),
+    res = secrecy_outage_prob(*params(10, 11, 20.0, r_s=2.0), chebyshev_rule(500),
                               check_refinement=True)
     assert res.refinement_delta is not None and res.refinement_delta < 1e-4
 
 
 def test_secrecy_zero_target_drops_gap_branch():
-    res = secrecy_outage_prob(params(10, 11, 20.0, r_s=0.0), chebyshev_rule(200))
+    res = secrecy_outage_prob(*params(10, 11, 20.0, r_s=0.0), chebyshev_rule(200))
     assert res.q4 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -419,17 +421,17 @@ def test_secrecy_quadrature_matches_whole_grid_oracle(m, na):
         for r_s in (0.0, 2.0):
             for snr in (0.0, 20.0, 60.0):
                 p = params(m, k, snr, r_s=r_s)
-                assert _secrecy_q4_q6(p, rule) == pytest.approx(
-                    secrecy_oracle.secrecy_q4_q6(p, rule), rel=0, abs=1e-13)
+                assert _secrecy_q4_q6(*p, rule) == pytest.approx(
+                    secrecy_oracle.secrecy_q4_q6(*p, rule), rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("m, na", [(10, 7), (10, 33), (150, 33), (10, 500)])
 def test_secrecy_refinement_matches_whole_grid_oracle(m, na):
     """check_refinement reruns the doubled grid; its delta agrees to 2e-13."""
     p = params(m, 11, 20.0, r_s=2.0)
-    res = secrecy_outage_prob(p, chebyshev_rule(na), check_refinement=True)
-    q4, q6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(na))
-    f4, f6 = secrecy_oracle.secrecy_q4_q6(p, chebyshev_rule(2 * na))
+    res = secrecy_outage_prob(*p, chebyshev_rule(na), check_refinement=True)
+    q4, q6 = secrecy_oracle.secrecy_q4_q6(*p, chebyshev_rule(na))
+    f4, f6 = secrecy_oracle.secrecy_q4_q6(*p, chebyshev_rule(2 * na))
     assert (res.q4, res.q6) == pytest.approx((q4, q6), rel=0, abs=1e-13)
     assert res.refinement_delta == pytest.approx(
         abs(q4 + res.q5 + q6 - (f4 + res.q5 + f6)), rel=0, abs=2e-13)
@@ -445,7 +447,7 @@ def test_secrecy_quadrature_memory_stays_blocked():
     p, rule = params(10, 11, 20.0, r_s=2.0), chebyshev_rule(2000)
     tracemalloc.start()
     try:
-        _secrecy_q4_q6(p, rule)
+        _secrecy_q4_q6(*p, rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -479,9 +481,8 @@ def test_closed_forms_match_recorded_bits(kind, point):
             or _hexes(chebyshev_rule(7).nodes) != probe["nodes"]
             or _hexes(special.gammaincc(150, 100.0 + x)) != probe["gammaincc"]):
         pytest.skip("exp, cos or gammaincc round differently from the recording's build")
-    p = AnalysisParams.from_link(point["m"], point["k"], LinkConfig(
-        10.0 ** (point["snr_db"] / 10.0), 1.0, point["r_u"] if kind == "unicast" else 6.0,
-        point.get("r_s", 0.0)))
+    cfg = LinkConfig(10.0 ** (point["snr_db"] / 10.0), 1.0,
+                     point["r_u"] if kind == "unicast" else 6.0, point.get("r_s", 0.0))
     prob = unicast_outage_prob if kind == "unicast" else secrecy_outage_prob
-    assert _hexes(astuple(prob(p, chebyshev_rule(point["na"]), check_refinement=True))) == (
+    assert _hexes(astuple(prob(point["m"], point["k"], cfg, chebyshev_rule(point["na"]), check_refinement=True))) == (
         point["bits"])

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import nomacast
-from nomacast.analysis import AnalysisParams
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, read_csv,
@@ -37,13 +36,16 @@ def _python(*argv):
                           text=True, timeout=120)
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is slow to import and only the large-shape gamma fallback needs it."""
-    code = ("import sys, nomacast.cli as cli; cli.resolve_scenarios('fig4'); "
-            "print('scipy' in sys.modules)")
-    run = _python("-c", code)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+def test_cli_import_loads_no_scipy(tmp_path):
+    """scipy is slow to import and only the large-shape gamma fallback needs it:
+    neither the import nor an analytic run at M <= 100 loads it."""
+    for step in ("cli.resolve_scenarios('fig4')",
+                 "cli.main(['--scenario', 'fig4', '--mode', 'analytic', '--snr', '10', "
+                 f"'--na', '50', '--out', {str(tmp_path)!r}])"):
+        run = _python("-c", f"import sys, nomacast.cli as cli; {step}; "
+                            "print('scipy' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_quickstart_runs():
@@ -87,11 +89,15 @@ def test_parse_snr_grid():
         parse_snr_grid("abc")
 
 
-@pytest.mark.parametrize("mode", ["analytic", "mc"])
-def test_main_snr_grid_too_large_to_build_is_a_config_error(tmp_path, capsys, mode):
-    """10^18 points would need 6.94 EiB, so building the grid fails at once."""
-    code = main(["--scenario", "fig1", "--mode", mode, "--snr", "0:1e18:1",
-                 "--out", str(tmp_path / "out")])
+@pytest.mark.parametrize("args", [
+    ["--mode", "analytic", "--snr", "0:1e18:1"], ["--mode", "mc", "--snr", "0:1e18:1"],
+    ["--mode", "analytic", "--snr", "10", "--na", "1000000000000000000"],
+    ["--mode", "mc", "--samples", "10", "--snr", "10", "--m", "100000000000000000"],
+], ids=["analytic", "mc", "analytic_nodes", "mc_antennas"])
+def test_main_snr_grid_too_large_to_build_is_a_config_error(tmp_path, capsys, args):
+    """10^18 grid points or quadrature nodes, or 10^17 antennas, would need 6.94 EiB
+    or more, so the first allocation fails at once."""
+    code = main(["--scenario", "fig1", *args, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -322,7 +328,7 @@ def _read_bad_header(inputs, out):
      "malformed scenario config"),
     (lambda inputs, out: emit_csv([], out / "empty.csv"), ValueError, "no rows to write"),
     (_read_bad_header, ScenarioError, "unexpected CSV header"),
-    (lambda inputs, out: AnalysisParams(2, 3, 0.0, 1.0, 1.0), ValueError,
+    (lambda inputs, out: LinkConfig(0.0, 1.0, 1.0), ValueError,
      "rho must be positive, got 0.0"),
     (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], [LinkConfig(10.0, 1.0, 2.0)],
                                        (0, 3), SimulationPlan(10, 1)), ValueError,

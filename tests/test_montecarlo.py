@@ -71,11 +71,11 @@ def test_multicast_outage_closed_form():
 
 def test_multicast_outage_closed_form_large_system():
     """Closed form vs a 10^7-draw run at the 16 dB operating point."""
-    from nomacast.analysis import AnalysisParams, multicast_outage_prob
+    from nomacast.analysis import multicast_outage_prob
     metric = MetricKind.MULTICAST_OUTAGE
     est = estimate_many([metric], [CFG], (10, 11),
                         SimulationPlan(10_000_000, seed=16, workers=2))[0][metric]
-    analytic = multicast_outage_prob(AnalysisParams.from_link(10, 11, CFG))
+    analytic = multicast_outage_prob(10, 11, CFG)
     assert abs(est.value - analytic) <= 3 * est.stderr
 
 
