@@ -9,8 +9,9 @@ and combined in index order; workers (one pool per call, at most one worker
 per chunk) only parallelize chunk evaluation.  Gains do not depend on the
 SNR, so every config of a call reuses its windows, drawn and reduced once:
 point estimates stay unbiased but are correlated (common random numbers).
-A chunk draws its windows ``_BLOCK`` at a time, so the sampler's arrays stay
-cache-sized however wide a window is, with the bits of one whole draw.
+A chunk is one pass from Philox to its moments: ``_BLOCK`` windows at a time
+are drawn into one reused workspace and turned into gains in place, and the
+kernel reduces ``_KBLOCK`` windows at a time, with the bits of one whole draw.
 
 Every plan draws the effective gains from their exact joint law, without
 building a channel matrix (see :func:`_sample_gains`).
@@ -23,16 +24,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from . import transmission as tx
-from .rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
-                  bits_to_uniform, window_bits)
+from .rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, fill_uniform, window_generator
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
 _CHUNK = 1 << 16
-_BLOCK = 1 << 11  # windows per _sample_gains call, so its arrays stay in L2
+_BLOCK = 1 << 11  # windows per fill of the sampler's workspace, so it stays in L2
+_KBLOCK = 1 << 13  # windows per kernel call when only indicator counts are summed
 _Z95 = 1.959963984540054
 
 # OMA beamformer kinds: maximum ratio transmission toward the unicast user,
@@ -111,10 +113,11 @@ def _min_max(others):
     return cols.min(axis=0), cols.max(axis=0)
 
 
-def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
-    """(z1, u, v, z1_oma, u_oma, v_oma) for windows [first, first + n): the
-    unicast user's gain and the smallest (u) and largest (v) of the other
-    users' gains, under the MRT beam and under the OMA beam.
+def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
+    """(z1, u, v, z1_oma, u_oma, v_oma) of a block of windows from their
+    uniforms ``w``, one row per window, which it overwrites: the unicast
+    user's gain and the smallest (u) and largest (v) of the other users'
+    gains, under the MRT beam and under the OMA beam.
 
     A CN(0, I_M) row is its Gamma(M) squared norm times an isotropic
     direction, and scheduling sees only norms.  Unscheduled with one beam
@@ -131,44 +134,58 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int):
     then k phases; otherwise z1's m exponentials, the others' a and b, then
     k - 1 phases.
     """
-    mrt = plan.oma_beamformer == MRT or m == 1
-    if not plan.scheduling and mrt:
-        bits = window_bits(plan.seed, DOMAIN_GAIN_STATS, first, n, m + 2)
-        uni = bits_to_uniform(bits[:, :m])
+    if not scheduling and mrt:
+        z = w[:, :m]
         # 18 uniforms multiply to at least 2^-972, so no product underflows
-        z1 = -np.log(uni[:, :18].prod(axis=1))
+        z1 = -np.log(z[:, :18].prod(axis=1))
         for i in range(18, m, 18):
-            z1 -= np.log(uni[:, i:i + 18].prod(axis=1))
-        u = bits_to_exponential(bits[:, m]) / (k - 1)
+            z1 -= np.log(z[:, i:i + 18].prod(axis=1))
+        u = -np.log(w[:, m]) / (k - 1)
         if k == 2:
             return z1, u, u, z1, u, u
         # the top words round U^(1/(K-2)) up to 1, where v would be infinite
-        w = bits_to_uniform(bits[:, m + 1]) ** (1.0 / (k - 2))
-        v = u - np.log1p(-np.minimum(w, 1.0 - 2.0**-53))
+        v = u - np.log1p(-np.minimum(w[:, m + 1] ** (1.0 / (k - 2)), 1.0 - 2.0**-53))
         return z1, u, v, z1, u, v
-    if plan.scheduling:
-        bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, k * m + (0 if mrt else k))
-        e = bits_to_exponential(bits[:, :k * m]).reshape(n, m, k)
+    e = w[:, :k * m] if scheduling else w[:, :m + 2 * (k - 1)]
+    np.negative(np.log(e, out=e), out=e)  # unit exponentials by inversion, in place
+    if scheduling:  # the strongest user by norm is served: swap it into column 0
+        e = e.reshape(len(w), m, k)
         norms = np.einsum("rmk->rk", e)
-        sel = np.arange(k) == norms.argmax(axis=1)[:, None]
-        z1, a_sel = norms[sel], e[:, 0][sel]
-        others = e[:, 0][~sel].reshape(n, k - 1)
+        rows, sel = np.arange(len(w)), norms.argmax(axis=1)
+        users = (e[:, 0],) if mrt else (e[:, 0], e[:, 1], w[:, k * m:k * m + k])
+        for x in users:  # column 0 becomes the served user's a (and b and phase)
+            x[rows, sel], x[:, 0] = x[:, 0], x[rows, sel]
+        z1, a_sel, others = norms[rows, sel], users[0][:, 0], users[0][:, 1:]
         if mrt:
-            u, v = _min_max(others)
-            return z1, u, v, z1, u, v
-        b = e[:, 1][~sel].reshape(n, k - 1)
-        phase = bits_to_uniform(bits[:, k * m:][~sel]).reshape(n, k - 1)
+            return (z1, *_min_max(others)) * 2
+        b, phase = users[1][:, 1:], users[2][:, 1:]
     else:
-        bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, m + 3 * (k - 1))
-        e = bits_to_exponential(bits[:, :m + 2 * (k - 1)])
         z1, a_sel = e[:, :m].sum(axis=1), e[:, 0]
         others, b = e[:, m:m + k - 1], e[:, m + k - 1:]
-        phase = bits_to_uniform(bits[:, m + 2 * (k - 1):])
+        phase = w[:, m + 2 * (k - 1):m + 3 * (k - 1)]
     # |c x + s y|^2 with |x|^2 = a, |y|^2 = b, |s|^2 = 1 - |c|^2
     c2 = (a_sel / z1)[:, None]
     x, y = np.sqrt(c2 * others), np.sqrt((1.0 - c2) * b)
     others_oma = x * x + y * y + 2.0 * x * y * np.cos(2.0 * np.pi * phase)
     return (z1, *_min_max(others), a_sel, *_min_max(others_oma))
+
+
+def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int, step: int):
+    """The gains of windows [first, first + n) (see _block_gains) as successive
+    (6, <= step) views of one buffer, each valid until the next is drawn.  One
+    generator draws the windows in turn (a window's words follow the previous
+    one's) into one reused workspace of _BLOCK windows."""
+    mrt = plan.oma_beamformer == MRT or m == 1
+    domain, width = ((DOMAIN_GAINS, k * m + (0 if mrt else k)) if plan.scheduling else
+                     (DOMAIN_GAIN_STATS, m + 2) if mrt else (DOMAIN_GAINS, m + 3 * (k - 1)))
+    gen = window_generator(plan.seed, domain, first, width)
+    ws, gains = np.empty((min(_BLOCK, n), -(-width // 4) * 4)), np.empty((6, min(step, n)))
+    for lo in range(0, n, step):
+        nk = min(step, n - lo)
+        for r in range(0, nk, _BLOCK):
+            w = fill_uniform(gen, ws[:min(_BLOCK, nk - r)])
+            gains[:, r:r + len(w)] = _block_gains(w, m, k, mrt, plan.scheduling)
+        yield gains[:, :nk]
 
 
 class _Outcomes:
@@ -252,13 +269,31 @@ def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
 
 def _chunk_moments(args):
     """Moments of the named fields over window indices [lo, hi) at every config,
-    the gains drawn _BLOCK windows at a time: the bits of one whole draw."""
+    summed over kernel blocks of _KBLOCK windows as each is drawn: exact for
+    indicator counts.  A ``mean_*`` float sum keeps its whole-chunk rounding."""
     cfgs, fields, m, k, plan, base, lo, hi = args
-    gains = np.empty((6, hi - lo))
-    for r in range(0, hi - lo, _BLOCK):
-        nb = min(_BLOCK, hi - lo - r)
-        gains[:, r:r + nb] = _sample_gains(m, k, plan, base + lo + r, nb)
-    return _gain_moments(cfgs, fields, *gains)
+    n = hi - lo
+    step = n if any(name.startswith("mean_") for name in fields) else _KBLOCK
+    sums = sumsqs = np.zeros((len(cfgs), len(fields)))
+    for gains in _sample_gains(m, k, plan, base + lo, n, step):
+        _, block_sums, block_sumsqs = _gain_moments(cfgs, fields, *gains)
+        sums, sumsqs = sums + block_sums, sumsqs + block_sumsqs
+    return n, sums, sumsqs
+
+
+def _chunk_results(cfgs, fields, m: int, k: int, plan: SimulationPlan, base: int):
+    """(n, sums, sumsqs) of each _CHUNK-window chunk, in chunk order, built and
+    evaluated lazily: with several workers and chunks, in one pool (at most
+    one worker per chunk) 2 * workers chunks at a time, so memory stays flat."""
+    chunks = ((cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
+              for lo in range(0, plan.samples, _CHUNK))
+    workers = min(plan.workers, -(-plan.samples // _CHUNK))
+    if workers == 1:
+        yield from map(_chunk_moments, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while batch := list(islice(chunks, 2 * workers)):
+            yield from pool.map(_chunk_moments, batch)
 
 
 def _field_estimates(fields, n: int, sums, sumsqs) -> dict:
@@ -291,13 +326,10 @@ def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Es
 
 
 def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int = 0):
-    """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all
-    from one shared set of realizations.
-
-    Deterministic for fixed (seed, samples, scheduling, beamformer)
-    regardless of worker count: realization ``i`` always consumes counter
-    window ``stream_base + i``.
-    """
+    """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all from
+    one shared set of realizations.  Deterministic for fixed (seed, samples,
+    scheduling, beamformer) regardless of worker count: realization ``i``
+    always consumes counter window ``stream_base + i``."""
     cfgs = list(cfgs)
     fields = tuple(dict.fromkeys(source_metric(metric).value for metric in metrics))
     m, k = system
@@ -305,16 +337,10 @@ def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int 
         raise ValueError(f"need at least 2 users, got {k}")
     if m < 1:
         raise ValueError(f"need at least 1 antenna, got {m}")
-    chunks = [(cfgs, fields, m, k, plan, stream_base, lo, min(lo + _CHUNK, plan.samples))
-              for lo in range(0, plan.samples, _CHUNK)]
-    if plan.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(plan.workers, len(chunks))) as pool:
-            results = list(pool.map(_chunk_moments, chunks, chunksize=1))
-    else:
-        results = [_chunk_moments(c) for c in chunks]
-    ns, sums, sumsqs = zip(*results)  # fixed chunk order keeps the reduction exact
     zero = np.zeros((len(cfgs), len(fields)))
-    estimates = [_field_estimates(fields, sum(ns), s, q)
-                 for s, q in zip(sum(sums, zero), sum(sumsqs, zero))]
+    n, sums, sumsqs = 0, zero, zero
+    for chunk in _chunk_results(cfgs, fields, m, k, plan, stream_base):  # in order: exact
+        n, sums, sumsqs = n + chunk[0], sums + chunk[1], sumsqs + chunk[2]
+    estimates = [_field_estimates(fields, n, s, q) for s, q in zip(sums, sumsqs)]
     return [{metric: derive_estimate(metric, cfg, est[source_metric(metric).value])
              for metric in metrics} for cfg, est in zip(cfgs, estimates)]

@@ -1,12 +1,10 @@
 """Reproducible random windows built on the counter-based Philox generator.
 
 :func:`window_bits` carves one keyed stream into fixed-width counter
-windows, one window per Monte Carlo realization.  Realization ``i`` always
-consumes the same counter range, so any chunking of a run across processes
-reproduces bit-identical values.
-
-Every float transform consumes exactly one 64-bit word per output value,
-which keeps the per-realization consumption fixed and the windows aligned.
+windows, one window per Monte Carlo realization, and :func:`bits_to_uniform`
+maps each word to a double in (0, 1).  Realization ``i`` always consumes the
+same counter range, so any chunking of a run reproduces bit-identical values.
+The engine draws the same uniforms in place (:func:`fill_uniform`).
 """
 
 from __future__ import annotations
@@ -39,22 +37,27 @@ def bits_to_uniform(bits: np.ndarray) -> np.ndarray:
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
-def bits_to_exponential(bits: np.ndarray) -> np.ndarray:
-    """Unit-mean exponentials via inversion (one word per value)."""
-    return -np.log(bits_to_uniform(bits))
-
-
 def window_bits(seed: int, domain: int, first: int, count: int, width: int) -> np.ndarray:
-    """Raw words for ``count`` consecutive substreams of ``width`` values.
-
-    Substream ``first + i`` occupies Philox counter blocks
-    ``[(first + i) * ceil(width / 4), ...)`` under the key ``(seed, domain)``.
-    The returned array has shape ``(count, width)`` and row ``i`` depends
-    only on ``(seed, domain, first + i, width)``.
-    """
+    """Raw words of windows ``[first, first + count)``, shape ``(count, width)``:
+    row ``i`` depends only on ``(seed, domain, first + i, width)``."""
     if width < 1 or count < 0:
         raise ValueError("width must be >= 1 and count >= 0")
-    blocks = -(-width // 4)
-    bg = Philox(counter=first * blocks, key=_key(seed, domain))
-    raw = bg.random_raw(count * blocks * 4)
-    return raw.reshape(count, blocks * 4)[:, :width]
+    padded = -(-width // 4) * 4
+    gen = window_generator(seed, domain, first, width)
+    return gen.bit_generator.random_raw(count * padded).reshape(count, padded)[:, :width]
+
+
+def window_generator(seed: int, domain: int, first: int, width: int) -> np.random.Generator:
+    """A generator at window ``first`` of width ``width``: window ``i`` occupies
+    Philox counter blocks ``[i * ceil(width / 4), ...)`` under the key
+    ``(seed, domain)``, and the windows follow each other in the stream."""
+    return np.random.Generator(Philox(counter=first * -(-width // 4), key=_key(seed, domain)))
+
+
+def fill_uniform(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 ``out`` with bits_to_uniform of the next
+    ``out.size`` words b of ``gen``: random() gives (b >> 11) 2^-53 exactly,
+    and adding 2^-54 rounds as adding 1/2 does before that power-of-two scale."""
+    gen.random(out=out)
+    np.add(out, 2.0**-54, out=out)
+    return np.minimum(out, 1.0 - 2.0**-53, out=out)

@@ -1,10 +1,10 @@
 """Sequential random streams for the tests and their oracles.
 
-The package draws only counter windows (:func:`nomacast.rng.window_bits`).
+The package draws only counter windows (see :mod:`nomacast.rng`).
 Draws outside the Monte Carlo engine -- test inputs and the channel-matrix
 oracle -- come from :class:`RngStream`, one independent Philox stream per
-``(seed, stream_id)`` pair, and standard normals from
-:func:`bits_to_normal`.
+``(seed, stream_id)`` pair; standard normals come from :func:`bits_to_normal`
+and exponentials from :func:`bits_to_exponential`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from nomacast.rng import _key, bits_to_exponential, bits_to_uniform
+from nomacast.rng import _key, bits_to_uniform
+
+
+def bits_to_exponential(bits: np.ndarray) -> np.ndarray:
+    """Unit-mean exponentials via inversion (one word per value)."""
+    return -np.log(bits_to_uniform(bits))
 
 
 def bits_to_normal(bits: np.ndarray) -> np.ndarray:

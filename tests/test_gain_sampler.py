@@ -15,9 +15,9 @@ from scipy import stats
 
 from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
 from nomacast import montecarlo
-from nomacast.montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan,
-                                 _sample_gains)
+from nomacast.montecarlo import BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan
 from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
+from window_oracle import sample_gains
 
 N = 100_000
 SEED = 32
@@ -48,7 +48,7 @@ def test_key_domains_are_distinct():
 
 def _engine_gains(m, k, scheduling, beamformer, seed, n, chunk=1 << 14):
     plan = SimulationPlan(n, seed, scheduling, beamformer)
-    parts = [_sample_gains(m, k, plan, lo, min(chunk, n - lo))
+    parts = [sample_gains(m, k, plan, lo, min(chunk, n - lo))
              for lo in range(0, n, chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -111,10 +111,11 @@ def test_single_antenna_oma_gains_are_the_mrt_gains(scheduling):
 def test_top_words_give_a_finite_v(monkeypatch):
     """The largest words map to the largest double below 1, whose 9th root still
     rounds to 1.0; v must stay finite there."""
-    def top_words(seed, domain, first, count, width):
-        return np.full((count, width), (1 << 64) - 1, dtype=np.uint64)
-    monkeypatch.setattr(montecarlo, "window_bits", top_words)
-    _, u, v, _, _, _ = _sample_gains(10, 11, SimulationPlan(4, 1), 0, 4)
+    def top_words(gen, out):
+        out[...] = bits_to_uniform(np.array([(1 << 64) - 1], dtype=np.uint64))[0]
+        return out
+    monkeypatch.setattr(montecarlo, "fill_uniform", top_words)
+    _, u, v, _, _, _ = sample_gains(10, 11, SimulationPlan(4, 1), 0, 4)
     assert np.all(np.isfinite(v)) and np.all(u <= v)
 
 
@@ -129,7 +130,7 @@ def test_unicast_gain_beyond_one_product_of_uniforms():
     """Above M = 18 z1 sums the -log of products of at most 18 uniforms: the sum
     of its M exponentials to rounding, and Gamma(M) distributed."""
     m, plan = 40, SimulationPlan(1 << 16, 40)
-    z1 = _sample_gains(m, 11, plan, 0, plan.samples)[0]
+    z1 = sample_gains(m, 11, plan, 0, plan.samples)[0]
     uni = bits_to_uniform(window_bits(plan.seed, DOMAIN_GAIN_STATS, 0, plan.samples, m + 2))
     assert np.allclose(z1, -np.log(uni[:, :m]).sum(axis=1), rtol=1e-12, atol=0.0)
     assert stats.kstest(z1, stats.gamma(m).cdf).pvalue >= KS_MIN_P
@@ -145,7 +146,7 @@ def test_sampled_gains_properties(m, k, scheduling, beamformer, seed, first, n, 
     beams, z1 >= u under scheduling, u = v at K = 2, and the same bits for any
     split of the window range."""
     plan = SimulationPlan(n, seed, scheduling, beamformer)
-    gains = _sample_gains(m, k, plan, first, n)
+    gains = sample_gains(m, k, plan, first, n)
     z1, u, v, z1_oma, u_oma, v_oma = gains
     for x in gains:
         assert x.shape == (n,) and np.all(np.isfinite(x)) and np.all(x > 0)
@@ -155,7 +156,7 @@ def test_sampled_gains_properties(m, k, scheduling, beamformer, seed, first, n, 
     if k == 2:
         assert np.array_equal(u, v) and np.array_equal(u_oma, v_oma)
     cut = min(cut, n)
-    parts = zip(_sample_gains(m, k, plan, first, cut),
-                _sample_gains(m, k, plan, first + cut, n - cut))
+    parts = zip(sample_gains(m, k, plan, first, cut),
+                sample_gains(m, k, plan, first + cut, n - cut))
     for whole, (head, tail) in zip(gains, parts):
         assert np.array_equal(np.concatenate([head, tail]), whole)

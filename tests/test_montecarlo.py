@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
-from nomacast.montecarlo import (_BLOCK, _CHUNK, EQUAL_GAIN, MRT, OUTAGE_RATE_OF, RANDOM,
-                                 MetricKind, SimulationPlan, _chunk_moments, _FIELD_OF, _FIELDS,
-                                 _field_estimates, _gain_moments, _Outcomes,
-                                 _sample_gains, derive_estimate, estimate_many,
-                                 source_metric)
-from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_exponential,
-                          bits_to_uniform, window_bits)
+from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, EQUAL_GAIN, MRT, OUTAGE_RATE_OF,
+                                 RANDOM, MetricKind, SimulationPlan, _chunk_moments, _FIELD_OF,
+                                 _FIELDS, _field_estimates, _gain_moments, _Outcomes,
+                                 _sample_gains, derive_estimate, estimate_many, source_metric)
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
-from rng_stream import RngStream
+from rng_stream import RngStream, bits_to_exponential
+from window_oracle import sample_gains, window_gains
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
 
@@ -195,13 +194,13 @@ def test_grid_points_equal_single_point_estimates(plan, workers):
 
 def test_scheduling_invariant_holds():
     plan = SimulationPlan(20_000, seed=12, scheduling=True)
-    z1, u, *_ = _sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, *_ = sample_gains(3, 5, plan, 0, plan.samples)
     assert np.mean(z1 >= u) == 1.0
 
 
 def test_no_scheduling_sometimes_trails():
     plan = SimulationPlan(20_000, seed=13)
-    z1, u, *_ = _sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, *_ = sample_gains(3, 5, plan, 0, plan.samples)
     assert np.mean(z1 >= u) < 1.0
 
 
@@ -353,7 +352,7 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
     """The reduction to estimates tells a probability from a mean by the field
     name alone (see _field_estimates), so the kernel must give a boolean per
     realization for every field but a ``mean_*`` one."""
-    z1, u, v, z1_oma, u_oma, v_oma = _sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, v, z1_oma, u_oma, v_oma = sample_gains(3, 5, plan, 0, plan.samples)
     for cfg in (CFG, replace(CFG, rho=1e4, r_s=0.0)):
         outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, np.minimum(z1, u),
                              np.minimum(z1_oma, u_oma))
@@ -370,7 +369,7 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
 def test_requested_fields_equal_the_all_fields_evaluation(plan):
     """The fields each metric reads, alone and in a pair, come out exactly as
     they do when the kernel evaluates every field on the same gains."""
-    gains = _sample_gains(3, 5, plan, 0, plan.samples)
+    gains = sample_gains(3, 5, plan, 0, plan.samples)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
     sets = [(source_metric(metric).value,) for metric in MetricKind]
@@ -424,7 +423,7 @@ def test_blocked_chunk_equals_one_whole_range_draw(system, plan, n):
     base, lo = 5, 1000
     blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, plan, base, lo, lo + n))
     n_whole, sums, sumsqs = _gain_moments(_BLOCK_CFGS, _FIELDS,
-                                          *_sample_gains(m, k, plan, base + lo, n))
+                                          *sample_gains(m, k, plan, base + lo, n))
     assert blocked[0] == n_whole == n
     assert np.array_equal(blocked[1], sums) and np.array_equal(blocked[2], sumsqs)
 
@@ -445,6 +444,70 @@ def test_chunk_sampling_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+_INDICATORS = tuple(name for name in _FIELDS if not name.startswith("mean_"))
+
+
+@pytest.mark.parametrize("n", [_KBLOCK + 3 * _BLOCK + 77, 300],
+                         ids=["across_kernel_blocks", "below_one_block"])
+@pytest.mark.parametrize("system, plan", [
+    ((10, 11), SimulationPlan(1, seed=71)),
+    ((40, 11), SimulationPlan(1, seed=72)),
+    ((3, 2), SimulationPlan(1, seed=73)),
+    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM)),
+    ((2, 11), SimulationPlan(1, seed=75, scheduling=True)),
+    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN)),
+    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM)),
+    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM)),
+    ((10, 11), SimulationPlan(1, seed=80, scheduling=True)),
+], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
+        "sched_random", "fig5_sched"])
+def test_sampler_matches_the_window_oracle(system, plan, n):
+    """The one pass from Philox to the gains (one generator and one reused
+    workspace per call, uniforms and exponentials made in place) gives the
+    six gains of window_bits' words bit for bit, whether drawn as one block
+    or in _KBLOCK-window kernel blocks, and _chunk_moments gives the kernel's
+    sums and squares over the oracle's gains: from a nonzero first window,
+    over a range that is not a multiple of _KBLOCK and over one below
+    _BLOCK, for indicator fields alone (summed per kernel block) and with
+    the ``mean_*`` fields (one block per chunk)."""
+    m, k = system
+    base, lo = 5, 1000
+    expected = [np.asarray(g) for g in window_gains(m, k, plan, base + lo, n)]
+    kernel_blocks = np.concatenate(
+        [g.copy() for g in _sample_gains(m, k, plan, base + lo, n, _KBLOCK)], axis=1)
+    for drawn in (sample_gains(m, k, plan, base + lo, n), kernel_blocks):
+        for got, want in zip(drawn, expected):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for fields in (_INDICATORS, _FIELDS):
+        chunk = _chunk_moments((_BLOCK_CFGS, fields, m, k, plan, base, lo, lo + n))
+        whole = _gain_moments(_BLOCK_CFGS, fields, *expected)
+        assert chunk[0] == whole[0] == n
+        assert np.array_equal(chunk[1], whole[1]) and np.array_equal(chunk[2], whole[2])
+
+
+@pytest.mark.parametrize("scheduling, step_db, metrics, bound", [
+    (False, 4, ("unicast_outage", "unicast_outage_oma"), 2_000_000),
+    (True, 5, ("secrecy_outage", "secrecy_outage_oma"), 4_000_000),
+], ids=["fig1", "fig5_sched"])
+def test_chunk_peak_memory_is_a_few_blocks(scheduling, step_db, metrics, bound):
+    """One 2^16-window chunk shaped as a preset's (M = 10, K = 11; fig1: 11 SNR
+    points, unscheduled MRT; fig5_sched: 9 points, scheduled, 110 words per
+    window) peaks near 1.1 and 2.8 MB of traced allocations: one workspace of
+    _BLOCK windows and kernel arrays of _KBLOCK windows.  Reduced over the
+    whole chunk at once it peaked at 6.9 and 8.6 MB."""
+    import tracemalloc
+    plan = SimulationPlan(_CHUNK, seed=81, scheduling=scheduling)
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), 1.0, 6.0, 0.0 if step_db == 4 else 2.0)
+            for db in range(0, 41, step_db)]
+    tracemalloc.start()
+    try:
+        _chunk_moments((cfgs, metrics, 10, 11, plan, 0, 0, _CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @settings(derandomize=True, deadline=None)
@@ -546,6 +609,41 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
     pooled = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=64))
     serial = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=1))
     assert asked == [2] and pooled == serial
+
+
+def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
+    """Chunks are built lazily and handed to the pool 2 * workers at a time, so
+    memory does not grow with --samples: over a 10-chunk run at 2 workers no
+    more than 4 chunks are ever handed over and not yet reduced, and the
+    estimates equal the serial run's bit for bit."""
+    import nomacast.montecarlo as montecarlo
+    in_flight, peaks, handed = [0], [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            handed.extend(args[6] for args in items)
+            in_flight[0] += len(items)
+            peaks.append(in_flight[0])
+            for args in items:
+                in_flight[0] -= 1
+                yield fn(args)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
+    samples = 9 * _CHUNK + 5000  # ten chunks
+    pooled = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=2))
+    serial = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=1))
+    assert handed == list(range(0, samples, _CHUNK))
+    assert max(peaks) <= 4 and pooled == serial
 
 
 def test_rejects_too_few_users():

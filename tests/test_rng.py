@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nomacast.rng import bits_to_exponential, bits_to_uniform, window_bits
-from rng_stream import RngStream, bits_to_normal
+from nomacast.rng import bits_to_uniform, fill_uniform, window_bits, window_generator
+from rng_stream import RngStream, bits_to_exponential, bits_to_normal
 
 # Frozen outputs pin the cross-platform determinism contract.
 GOLDEN_STREAM_RAW = [7731391513398885473, 17185639166945717721,
@@ -70,6 +70,47 @@ def test_top_words_map_below_one():
     assert np.all(bits_to_exponential(top) > 0.0)
     below = np.array([(1 << 64) - (1 << 11) - 1], dtype=np.uint64)
     assert bits_to_uniform(below)[0] == ((1 << 53) - 2 + 0.5) * 2.0**-53 < 1.0 - 2.0**-53
+
+
+class _Words:
+    """A generator stand-in whose random() gives (b >> 11) * 2^-53 for the given
+    words b, as Generator.random does for the words of its bit generator."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def random(self, out):
+        out[...] = (self.words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return out
+
+
+def test_generator_random_is_the_top_53_bits_of_each_word():
+    raw = window_bits(7, 9, 3, 4096, 8)  # a width of 8 words has no padding
+    got = window_generator(7, 9, 3, 8).random(raw.size).reshape(raw.shape)
+    assert np.array_equal(got, (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
+
+@pytest.mark.parametrize("low", [0, (1 << 11) - 1], ids=["low_bits_clear", "low_bits_set"])
+def test_fill_uniform_maps_edge_words_as_bits_to_uniform(low):
+    """At x = b >> 11 = 0 and 1, around 2^52 (from where x + 1/2 is rounded to
+    an even integer) and at the top (2^53 - 1 rounds up to 2^53, i.e. 1.0, and
+    is clamped), x * 2^-53 + 2^-54 gives bits_to_uniform's double exactly."""
+    x = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    words = (x << np.uint64(11)) | np.uint64(low)
+    got = fill_uniform(_Words(words), np.empty(len(words)))
+    assert np.array_equal(got.view(np.uint64), bits_to_uniform(words).view(np.uint64))
+    assert got[-1] == 1.0 - 2.0**-53 and got[0] == 2.0**-54
+
+
+def test_fill_uniform_draws_the_uniforms_of_window_bits():
+    """Consecutive fills from one generator continue the windows: a width of 7
+    words is padded to 8, and the padding word is drawn and skipped."""
+    gen = window_generator(5, 11, 40, 7)
+    out = np.empty((100, 8))
+    fill_uniform(gen, out[:37])
+    fill_uniform(gen, out[37:])
+    want = bits_to_uniform(window_bits(5, 11, 40, 100, 7))
+    assert np.array_equal(out[:, :7].view(np.uint64), want.view(np.uint64))
 
 
 def test_transform_moments():
