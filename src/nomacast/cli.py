@@ -228,19 +228,6 @@ def emit_csv(rows, path):
     return path
 
 
-def read_csv(path):
-    """Parse a metric CSV back into row dicts (floats for numeric columns)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_HEADER:
-            raise ScenarioError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            out.append({key: text if key in ("metric", "method") else float(text)
-                        for key, text in rec.items()})
-    return out
-
-
 def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                  workers: int = 1):
     """Execute one scenario variant; returns (report, list of CSV paths).
@@ -248,6 +235,12 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     A metric without a closed form gets no analytic rows; in analytic mode a
     variant with none at all writes no CSV and says so in a report note.
     """
+    report, csv_rows = _evaluate(scenario, mode, workers)
+    return report, _write_csvs(scenario, csv_rows, out_dir)
+
+
+def _evaluate(scenario: Scenario, mode: str, workers: int):
+    """(report, {metric: CSV rows}) of one variant; writes nothing."""
     scenario.validate()
     if mode not in ("analytic", "mc", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
@@ -297,10 +290,13 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
         report.notes.append(
             f"no closed form applies to scenario {scenario.name!r} "
             f"(scheduling={'on' if scenario.scheduling else 'off'}); variant skipped")
+    return report, csv_rows
 
-    paths = [emit_csv(rows, Path(out_dir) / f"{scenario.name}_{metric.value}.csv")
-             for metric, rows in csv_rows.items() if rows]
-    return report, paths
+
+def _write_csvs(scenario: Scenario, csv_rows, out_dir):
+    """One CSV per metric with rows, named after the variant; returns the paths."""
+    return [emit_csv(rows, Path(out_dir) / f"{scenario.name}_{metric.value}.csv")
+            for metric, rows in csv_rows.items() if rows]
 
 
 # --- configuration loading ----------------------------------------------------
@@ -444,17 +440,15 @@ def main(argv=None) -> int:
         scenarios, run_name = resolve_scenarios(args.scenario, args.config)
         scenarios = _collapse_identical(
             [_apply_overrides(s, args).validate() for s in scenarios], run_name)
-        reports, wrote = [], False
-        for scenario in scenarios:
-            report, paths = run_scenario(scenario, out_dir=args.out,
-                                         mode=args.mode, workers=args.workers)
-            reports.append(report)
-            wrote = wrote or bool(paths)
-            for p in paths:
-                print(f"wrote {p}")
-        if args.mode == "analytic" and not wrote:  # no variant has a closed form
-            raise UnsupportedAnalyticsError(
+        # every variant is evaluated before any file is written: all or nothing
+        results = [_evaluate(s, args.mode, args.workers) for s in scenarios]
+        reports = [report for report, _ in results]
+        if args.mode == "analytic" and not any(any(rows.values()) for _, rows in results):
+            raise UnsupportedAnalyticsError(  # no variant has a closed form
                 "; ".join(dict.fromkeys(note for r in reports for note in r.notes)))
+        for scenario, (_, csv_rows) in zip(scenarios, results):
+            for p in _write_csvs(scenario, csv_rows, args.out):
+                print(f"wrote {p}")
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"
         try:

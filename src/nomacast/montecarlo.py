@@ -20,7 +20,7 @@ building a channel matrix (see :func:`_sample_gains`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # .process (multiprocessing) loads with the first pool
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -291,7 +291,7 @@ def _chunk_results(cfgs, fields, m: int, k: int, plan: SimulationPlan, base: int
     if workers == 1:
         yield from map(_chunk_moments, chunks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         while batch := list(islice(chunks, 2 * workers)):
             yield from pool.map(_chunk_moments, batch)
 

@@ -10,7 +10,6 @@ The engine draws the same uniforms in place (:func:`fill_uniform`).
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
 
 _MASK64 = (1 << 64) - 1
 _SHIFT11 = np.uint64(11)
@@ -50,8 +49,10 @@ def window_bits(seed: int, domain: int, first: int, count: int, width: int) -> n
 def window_generator(seed: int, domain: int, first: int, width: int) -> np.random.Generator:
     """A generator at window ``first`` of width ``width``: window ``i`` occupies
     Philox counter blocks ``[i * ceil(width / 4), ...)`` under the key
-    ``(seed, domain)``, and the windows follow each other in the stream."""
-    return np.random.Generator(Philox(counter=first * -(-width // 4), key=_key(seed, domain)))
+    ``(seed, domain)``, and the windows follow each other in the stream.
+    numpy.random is reached only here, so it loads on the first draw."""
+    return np.random.Generator(np.random.Philox(counter=first * -(-width // 4),
+                                                key=_key(seed, domain)))
 
 
 def fill_uniform(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import nomacast
+from csv_reader import read_csv
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
-                          main, parse_metrics, parse_snr_grid, read_csv,
-                          run_scenario)
+                          main, parse_metrics, parse_snr_grid, run_scenario)
 from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many
 from nomacast.transmission import LinkConfig
 
@@ -46,6 +46,29 @@ def test_cli_import_loads_no_scipy(tmp_path):
                             "print('scipy' in sys.modules)")
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "False"
+
+
+_MC_MODULES = ("numpy.random", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("step, absent", [
+    ("None", _MC_MODULES),
+    ("cli.main(['--scenario', 'fig4', '--mode', 'analytic', '--snr', '10', '--na', '50', "
+     "'--out', OUT])", _MC_MODULES),
+    ("cli.main(['--scenario', 'fig1', '--mode', 'mc', '--snr', '10', '--samples', '1000', "
+     "'--workers', '1', '--out', OUT])", ("concurrent.futures.process",)),
+], ids=["import", "analytic_run", "serial_mc_run"])
+def test_monte_carlo_modules_load_on_first_use(tmp_path, step, absent):
+    """numpy.random loads with the first Monte Carlo draw and the process-pool
+    module (multiprocessing, hashlib) with the first pool, so neither the import
+    nor an analytic run adds them to what ``import numpy`` loads, and a serial
+    Monte Carlo run adds no pool module."""
+    run = _python("-c", f"import sys, numpy; OUT = {str(tmp_path)!r}; base = set(sys.modules); "
+                        f"import nomacast.cli as cli; assert {step} in (None, 0); "
+                        "print(*sorted(set(sys.modules) - base))")
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.splitlines()[-1].split())
+    assert "nomacast.montecarlo" in added and not set(absent) & added
 
 
 def test_readme_quickstart_runs():
@@ -354,6 +377,19 @@ def test_invalid_input_is_rejected_before_anything_is_written(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_variant_that_fails_late_leaves_the_output_directory_empty(tmp_path, capsys):
+    """main evaluates every variant before it writes any file.  At this K
+    fig2_nosched still runs (it draws M + 2 words per window), but fig2_sched's
+    K * M-word window cannot be allocated, so the run exits 2 and writes nothing,
+    not even the first variant's CSVs."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--scenario", "fig2", "--mode", "mc", "--samples", "10", "--snr", "10",
+                 "--k", "100000000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_scenario_name_that_leaves_the_output_directory_is_a_config_error(tmp_path,
                                                                           capsys):
     """The name is the stem of every output file: ``../escaped`` would write
@@ -444,7 +480,7 @@ def test_main_crash_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
 
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
-    monkeypatch.setattr(cli, "run_scenario", crash)
+    monkeypatch.setattr(cli, "_evaluate", crash)
     code = main(["--scenario", "fig1", "--samples", "100", "--out", str(tmp_path)])
     assert code == 4  # never 1, which means a comparison failed
     err = capsys.readouterr().err
@@ -539,12 +575,12 @@ def test_one_process_pool_per_scenario_run(tmp_path, monkeypatch):
     """A pooled run draws each window once for the whole grid, in one pool."""
     import nomacast.montecarlo as montecarlo
     starts = []
-    real = montecarlo.ProcessPoolExecutor
+    real = montecarlo.futures.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         starts.append(1)
         return real(*args, **kwargs)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", counting)
     scenario = _tiny(samples=montecarlo._CHUNK + 5000,  # two chunks per point
                      snr_grid_db=(0.0, 10.0, 20.0, 30.0))
     _, pooled = run_scenario(scenario, out_dir=tmp_path / "w2", mode="mc", workers=2)

@@ -603,7 +603,7 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = montecarlo._CHUNK + 5000  # two chunks
     pooled = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=64))
@@ -637,7 +637,7 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
             for args in items:
                 in_flight[0] -= 1
                 yield fn(args)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = 9 * _CHUNK + 5000  # ten chunks
     pooled = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=2))
