@@ -2,8 +2,8 @@
 
 Everything here is deterministic numerics: the exact finite-series
 incomplete gamma for integer shapes, the Chebyshev-Gauss rule, the
-three-term unicast outage decomposition with its bounds, the lower bound
-on the probability that NOMA trails OMA, the per-eavesdropper rate
+three-term unicast outage decomposition with its bounds, the probability
+that NOMA trails OMA above the multicast threshold, the per-eavesdropper rate
 advantage function, the joint min/max density of the non-unicast gains,
 and the three-term secrecy outage decomposition.  Each closed form takes
 the system size (m antennas, k users) and the operating point as the same
@@ -43,10 +43,11 @@ def _upper_reg(shape: int, x, exp_neg_x=None, out=None) -> np.ndarray:
 
     Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!: up to shape 100 a
     Horner recurrence on 1/m! (a multiply and an add per term, exact to
-    rounding) times exp(-x), or ``exp_neg_x`` if the caller holds it.  Above
-    shape 100 the sum can overflow where exp(-x) underflows, so every entry
-    comes from ``scipy.special.gammaincc``.  With ``out`` the result is
-    written there and ``x``, a float64 array, is overwritten.
+    rounding) times exp(-x) (exp(-x/2) twice where x > 700, as exp(-x) can
+    underflow), or ``exp_neg_x`` if the caller holds it.  Above shape 100 the
+    sum can overflow where exp(-x) underflows, so every entry comes from
+    ``scipy.special.gammaincc``.  With ``out`` the result is written there
+    and ``x``, a float64 array, is overwritten.
     """
     if out is None:  # x becomes a float64 copy that the call may overwrite
         out = np.empty_like(x := np.array(x, dtype=np.float64))
@@ -58,6 +59,9 @@ def _upper_reg(shape: int, x, exp_neg_x=None, out=None) -> np.ndarray:
     for c in reversed(_INV_FACTORIAL[:shape - 1]):  # out = c + out*x, in place
         out *= x
         out += c
+    if exp_neg_x is None and (big := x > 700.0).any():  # (out h) h, as h h underflows
+        h = np.exp(-0.5 * x[big])  # those x become 0, so the exp(-x) below leaves them
+        out[big], x[big] = out[big] * h * h, 0.0
     out *= np.exp(np.negative(x, out=x), out=x) if exp_neg_x is None else exp_neg_x
     return out
 
@@ -88,7 +92,7 @@ def chebyshev_rule(n_nodes: int) -> QuadratureRule:
 # --- system size and thresholds ------------------------------------------------
 
 def _check_size(m: int, k: int):
-    """Every public closed form checks m and k; LinkConfig checks rho and the rates."""
+    """Every public closed form and estimate_many check m and k; LinkConfig the rest."""
     if m < 1:
         raise ValueError(f"need at least 1 antenna, got {m}")
     if k < 2:
@@ -196,20 +200,17 @@ def unicast_outage_bounds(m: int, k: int, cfg: LinkConfig) -> OutageBounds:
 
 @dataclass(frozen=True)
 class ShortfallBound:
-    """Lower bound on P(NOMA unicast rate <= OMA unicast rate)."""
+    """P(NOMA unicast rate <= OMA's) outside the multicast outage (MRT)."""
 
     exact: float
     high_snr: float
 
 
 def noma_shortfall_bound(m: int, k: int, cfg: LinkConfig) -> ShortfallBound:
-    """Probability floor for NOMA failing to beat OMA on the unicast rate.
-
-    Whenever the unicast user's own gain is the allocation bottleneck
-    (z1 below every other gain but above the multicast threshold), the two
-    schemes deliver the same rate, so P(z1 > eps_m/rho, z1 < u) lower-bounds
-    the comparison probability; it tends to K^-M as the SNR grows.
-    """
+    """P(eps_m/rho < z1 < u), which tends to K^-M as the SNR grows.  There both
+    schemes deliver the same unicast rate and elsewhere above the multicast
+    threshold NOMA's is higher (see noma_rate_advantage), so under unscheduled
+    MRT multicast_outage_prob + exact is exactly P(NOMA rate <= OMA rate)."""
     _check_size(m, k)
     exact = float(_upper_reg(m, k * cfg.eps_m / cfg.rho) * float(k) ** -m)
     return ShortfallBound(exact, float(k) ** (-m))
@@ -220,9 +221,8 @@ def noma_shortfall_bound(m: int, k: int, cfg: LinkConfig) -> ShortfallBound:
 def noma_rate_advantage(u: float, x, cfg: LinkConfig):
     """NOMA-minus-OMA unicast rate at gain x when the weakest gain is u.
 
-    Vanishes exactly at x = u and grows with x at high SNR, which is what
-    makes the NOMA secrecy rate dominate the OMA one: the scheduled user
-    (largest gain) benefits more than any eavesdropper.
+    Vanishes exactly at x = u and never decreases in x >= u, so under MRT the
+    NOMA secrecy rate is at least the OMA one on every realization.
     """
     u, eps_m, rho = float(u), cfg.eps_m, cfg.rho
     if not u > eps_m / rho:

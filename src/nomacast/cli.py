@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (UnsupportedAnalyticsError, chebyshev_rule, multicast_outage_prob,
-                       secrecy_outage_prob, unicast_outage_prob)
-from .montecarlo import (BEAMFORMER_KINDS, MRT, OUTAGE_RATE_OF, Estimate, MetricKind,
-                         SimulationPlan, derive_estimate, estimate_many, source_metric)
+from . import analysis
+from .montecarlo import (BEAMFORMER_KINDS, CLOSED_FORMS, MRT, Estimate, MetricKind,
+                         SimulationPlan, analytic_estimate, derive_estimate, estimate_many,
+                         source_metric, analytic_value)  # perfbench reads cli.analytic_value
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -42,16 +42,6 @@ DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 12345
 _CONFIG_KEYS = ("name", "m", "k", "r_m", "r_u", "r_s", "snr_db", "na", "metrics",
                 "scheduling", "oma_beamformer", "samples", "seed")  # README grammar
-
-# probability metric -> (closed form called with (m, k, LinkConfig, quadrature rule),
-# absolute comparison tolerance); the multicast form needs no rule.  An outage-rate
-# row is (1 - P) * target and scales the tolerance by the target.  The lambdas look
-# the analysis functions up here at call time.
-_CLOSED_FORMS = {
-    MetricKind.MULTICAST_OUTAGE: (lambda *p: multicast_outage_prob(*p[:3]), 0.005),
-    MetricKind.UNICAST_OUTAGE: (lambda *p: unicast_outage_prob(*p).total, 0.005),
-    MetricKind.SECRECY_OUTAGE: (lambda *p: secrecy_outage_prob(*p).total, 0.01),
-}
 
 
 class ScenarioError(Exception):
@@ -141,15 +131,17 @@ class ReportRow:
     analytic: float
     mc_value: float
     mc_stderr: float
+    scheduling: bool = False
 
     @property
     def abs_diff(self) -> float:
         return abs(self.analytic - self.mc_value)
 
     def tolerance(self, cfg: LinkConfig) -> float:
-        kind, target = OUTAGE_RATE_OF.get(self.metric, (self.metric, None))
-        scale = 1.0 if target is None else getattr(cfg, target)
-        return max(_CLOSED_FORMS[kind][1] * scale, 3.0 * self.mc_stderr)
+        """max(3 SE, CLOSED_FORMS' tolerance, which a rate scales like an SE)."""
+        tol = CLOSED_FORMS[source_metric(self.metric), self.scheduling][1]
+        return max(derive_estimate(self.metric, cfg, Estimate(0.0, tol, 0.0, 0.0, 0)).stderr,
+                   3.0 * self.mc_stderr)
 
 
 _GAP_PAIRS = (
@@ -191,21 +183,6 @@ class ComparisonReport:
             lines.append(f"  {snr_db:6.1f} dB  {label}: {gap:+.3f} BPCU")
         lines.append(f"  verdict: {'PASS' if self.all_pass else 'FAIL'}")
         return "\n".join(lines)
-
-
-def analytic_value(metric: MetricKind, cfg: LinkConfig, m: int, k: int, na: int,
-                   scheduling: bool = False):
-    """Closed-form value of a metric, or None when no closed form applies.
-
-    Scheduling changes the gain distributions, so no closed form applies
-    there; secrecy analytics additionally need K >= 3 (raised as
-    UnsupportedAnalyticsError so pure-analytic runs can exit distinctly).
-    """
-    kind = source_metric(metric)
-    if scheduling or kind not in _CLOSED_FORMS:
-        return None
-    p = _CLOSED_FORMS[kind][0](m, k, cfg, chebyshev_rule(na))
-    return derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)).value
 
 
 def emit_csv(rows, path):
@@ -261,15 +238,14 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
         closed = {}  # the closed form of each probability kind, once per point
         for kind in kinds:
             try:
-                closed[kind] = analytic_value(kind, cfg, scenario.m, scenario.k,
-                                              scenario.na, scenario.scheduling)
-            except UnsupportedAnalyticsError as exc:
+                closed[kind] = analytic_estimate(kind, cfg, scenario.m, scenario.k,
+                                                 scenario.na, scenario.scheduling)
+            except analysis.UnsupportedAnalyticsError as exc:
                 if str(exc) not in report.notes:
                     report.notes.append(str(exc))
         for metric in scenario.metrics:
-            p = closed.get(source_metric(metric))
-            exact = (None if p is None
-                     else derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0)))
+            source = closed.get(source_metric(metric))
+            exact = None if source is None else derive_estimate(metric, cfg, source)
             for method, est in (("analytic", exact), ("mc", mc.get(metric))):
                 if est is not None:
                     csv_rows[metric].append({
@@ -278,7 +254,7 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
                         "ci_low": est.ci_low, "ci_high": est.ci_high})
             if exact is not None and metric in mc:
                 row = ReportRow(snr_db, metric, exact.value, mc[metric].value,
-                                mc[metric].stderr)
+                                mc[metric].stderr, scenario.scheduling)
                 report.rows.append(row)
                 report.verdicts.append(
                     "PASS" if row.abs_diff <= row.tolerance(cfg) else "FAIL")
@@ -444,7 +420,7 @@ def main(argv=None) -> int:
         results = [_evaluate(s, args.mode, args.workers) for s in scenarios]
         reports = [report for report, _ in results]
         if args.mode == "analytic" and not any(any(rows.values()) for _, rows in results):
-            raise UnsupportedAnalyticsError(  # no variant has a closed form
+            raise analysis.UnsupportedAnalyticsError(  # no variant has a closed form
                 "; ".join(dict.fromkeys(note for r in reports for note in r.notes)))
         for scenario, (_, csv_rows) in zip(scenarios, results):
             for p in _write_csvs(scenario, csv_rows, args.out):
@@ -459,7 +435,7 @@ def main(argv=None) -> int:
         print(summary)
         print(f"wrote {summary_path}")
         return EXIT_OK if all(r.all_pass for r in reports) else EXIT_COMPARISON_FAIL
-    except UnsupportedAnalyticsError as exc:
+    except analysis.UnsupportedAnalyticsError as exc:
         print(f"unsupported analytics: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ScenarioError, ValueError) as exc:

@@ -1,4 +1,5 @@
-"""Seeded, chunked Monte Carlo estimation of every link metric.
+"""Seeded, chunked Monte Carlo estimation of every link metric, and the table
+of closed forms that check it (CLOSED_FORMS).
 
 :func:`estimate_many` is the one entry point: a list of configs in (say one
 per SNR grid point), one ``{metric: Estimate}`` per config out.  Realization
@@ -28,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import transmission as tx
+from . import analysis, transmission as tx
 from .rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, fill_uniform, window_generator
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
@@ -73,6 +74,19 @@ OUTAGE_RATE_OF = {
     MetricKind.OUTAGE_RATE_SECRECY: (MetricKind.SECRECY_OUTAGE, "r_s"),
     MetricKind.OUTAGE_RATE_SECRECY_OMA: (MetricKind.SECRECY_OUTAGE_OMA, "r_s"),
 }
+
+# (outage-probability metric, scheduled?) -> (closed form of (m, k, LinkConfig,
+# quadrature rule), absolute tolerance against Monte Carlo); a missing key means
+# none applies.  The lambdas look the forms up in ``analysis`` at call time.
+CLOSED_FORMS = {
+    (MetricKind.MULTICAST_OUTAGE, False):
+        (lambda *p: analysis.multicast_outage_prob(*p[:3]), 0.005),
+    (MetricKind.UNICAST_OUTAGE, False):
+        (lambda *p: analysis.unicast_outage_prob(*p).total, 0.005),
+    (MetricKind.SECRECY_OUTAGE, False):
+        (lambda *p: analysis.secrecy_outage_prob(*p).total, 0.01),
+}
+
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -325,6 +339,20 @@ def derive_estimate(metric: MetricKind, cfg: LinkConfig, source: Estimate) -> Es
                     source.samples)
 
 
+def analytic_estimate(metric: MetricKind, cfg: LinkConfig, m, k, na, scheduling=False):
+    """Closed-form Estimate of ``metric`` with an na-node rule, or None where
+    CLOSED_FORMS has none.  The secrecy form raises UnsupportedAnalyticsError at K = 2."""
+    if (form := CLOSED_FORMS.get((source_metric(metric), scheduling))) is None:
+        return None
+    p = form[0](m, k, cfg, analysis.chebyshev_rule(na))
+    return derive_estimate(metric, cfg, Estimate(p, 0.0, p, p, 0))
+
+
+def analytic_value(metric: MetricKind, cfg: LinkConfig, m, k, na, scheduling=False):
+    """The value of analytic_estimate, or None when no closed form applies."""
+    return getattr(analytic_estimate(metric, cfg, m, k, na, scheduling), "value", None)
+
+
 def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int = 0):
     """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all from
     one shared set of realizations.  Deterministic for fixed (seed, samples,
@@ -332,14 +360,10 @@ def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int 
     always consumes counter window ``stream_base + i``."""
     cfgs = list(cfgs)
     fields = tuple(dict.fromkeys(source_metric(metric).value for metric in metrics))
-    m, k = system
-    if k < 2:
-        raise ValueError(f"need at least 2 users, got {k}")
-    if m < 1:
-        raise ValueError(f"need at least 1 antenna, got {m}")
+    analysis._check_size(*system)
     zero = np.zeros((len(cfgs), len(fields)))
     n, sums, sumsqs = 0, zero, zero
-    for chunk in _chunk_results(cfgs, fields, m, k, plan, stream_base):  # in order: exact
+    for chunk in _chunk_results(cfgs, fields, *system, plan, stream_base):  # in order: exact
         n, sums, sumsqs = n + chunk[0], sums + chunk[1], sumsqs + chunk[2]
     estimates = [_field_estimates(fields, n, s, q) for s, q in zip(sums, sumsqs)]
     return [{metric: derive_estimate(metric, cfg, est[source_metric(metric).value])

@@ -82,7 +82,7 @@ def power_fraction(g, cfg: LinkConfig):
     """
     g = np.asarray(g, dtype=np.float64)
     thr = cfg.eps_m / cfg.rho
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a subnormal g
         frac = (g - thr) / (g * (1.0 + cfg.eps_m))
     return np.where(g > thr, frac, 0.0)
 

@@ -5,12 +5,12 @@ sums each block on its own, and runs the incomplete-gamma series on
 precomputed 1/m!.  This module keeps the straightforward forms: the
 whole-grid evaluation with one sum per integral, and the series as
 ``p = 1 + p*x/m``.  The tests bound the package's departure from them by
-tolerances set from float64 epsilon.  Above shape 100 this ``upper_reg``
-takes gammaincc only where the series overflows, so it keeps the false
-zeros where exp(-x) underflows; the tests compare the package with
-gammaincc there instead.  The density is the package's
-``joint_minmax_pdf``, which ``test_joint_pdf_matches_expansion`` checks on
-its own.
+tolerances set from float64 epsilon.  Like the package, ``upper_reg``
+multiplies by exp(-x/2) twice where x > 700, so it has no false zeros where
+exp(-x) alone underflows.  Above shape 100 it takes gammaincc only where
+the series overflows; the tests compare the package with gammaincc there.
+The density is the package's ``joint_minmax_pdf``, which
+``test_joint_pdf_matches_expansion`` checks on its own.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ def upper_reg(shape: int, x) -> np.ndarray:
     """Regularized upper incomplete gamma for integer shape.
 
     Gamma(M, x) / (M-1)! = exp(-x) * sum_{m<M} x^m / m!, evaluated with a
-    Horner recurrence; exact (to rounding) for every integer shape.  Above
-    shape 100 the sum can overflow where exp(-x) underflows; such entries
-    come from ``scipy.special.gammaincc`` instead.
+    Horner recurrence; exact (to rounding) for every integer shape.  Where
+    x > 700, exp(-x) can underflow although the value does not, so p is
+    multiplied by exp(-x/2) twice, in sequence.  Above shape 100 the sum can
+    overflow where exp(-x) underflows; such entries come from
+    ``scipy.special.gammaincc`` instead.
     """
     x = np.asarray(x, dtype=np.float64)
     xc = np.minimum(x, _GAMMA_ARG_CAP)
@@ -37,7 +39,8 @@ def upper_reg(shape: int, x) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(shape - 1, 0, -1):
             p = 1.0 + p * xc / m
-        out = np.exp(-xc) * p
+        half = np.exp(-0.5 * xc)
+        out = np.where(xc > 700.0, p * half * half, np.exp(-xc) * p)
     if shape > 100:
         out = np.where(np.isfinite(out), out, gammaincc(shape, xc))
     return out

@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -8,6 +13,7 @@ import pytest
 from scipy import special
 
 import link_oracle as oracle
+import nomacast
 import secrecy_oracle
 from nomacast.analysis import (UnsupportedAnalyticsError, _psi,
                                chebyshev_rule, joint_minmax_pdf,
@@ -409,6 +415,15 @@ def test_regularized_gamma_above_shape_100_has_no_false_zeros():
     assert _upper_reg(101, 750.0) == pytest.approx(7.538878552219594e-197, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("m, x", [(100, 750.0), (50, 760.0), (10, 745.5)])
+def test_regularized_gamma_up_to_shape_100_has_no_false_zeros(m, x):
+    """exp(-x) underflows at these points, but the series times exp(-x/2)
+    twice does not: gammaincc gives 1.0e-197, 2.2e-252 and 3.4e-304."""
+    from nomacast.analysis import _upper_reg
+    assert _upper_reg(m, x) == pytest.approx(special.gammaincc(m, x), rel=1e-12, abs=0)
+    assert _upper_reg(m, np.array([1.0, x]))[1] == _upper_reg(m, x)
+
+
 # na = 7 and 33 fit in one block; at na = 500 the last block is ragged (500 = 15 x 32 + 20)
 @pytest.mark.parametrize("na", [7, 33, 500])
 @pytest.mark.parametrize("m", [1, 2, 10, 150])  # 150 takes the gammaincc branch
@@ -461,6 +476,23 @@ def _hexes(values):
     return [float(x).hex() for x in values]
 
 
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _libm_matches_recording() -> bool:
+    """exp, cos and gammaincc at the recording's probe points, and sha256 hashes
+    of exp on [-745, 0], log1p on (-1, 0] and u**(1/9) on [0, 1] at 100 001
+    points each: numpy's AVX2 and AVX-512 kernels round these differently."""
+    probe, x, u = _BITS["probe"], np.linspace(0.0, 40.0, 97), np.linspace(0.0, 1.0, 100_001)
+    return (_hexes(np.exp(-x)) == probe["exp"]
+            and _hexes(chebyshev_rule(7).nodes) == probe["nodes"]
+            and _hexes(special.gammaincc(150, 100.0 + x)) == probe["gammaincc"]
+            and _sha256(np.exp(np.linspace(-745.0, 0.0, 100_001))) == probe["exp_sha256"]
+            and _sha256(np.log1p(-u[:-1])) == probe["log1p_sha256"]
+            and _sha256(np.power(u, 1.0 / 9.0)) == probe["pow_sha256"])
+
+
 _POINTS = [(kind, pt) for kind in ("unicast", "secrecy") for pt in _BITS[kind]]
 
 
@@ -474,15 +506,29 @@ def test_closed_forms_match_recorded_bits(kind, point):
     na = 20, M = 150 (the gammaincc path) for both closed forms, and for the
     secrecy quadrature a partial last block (na = 500), na = 2000, density
     powers 0 and 1 (K = 3, 4) and r_s = 0..3.  The probe pins the library
-    functions the bits rest on: where exp, cos or gammaincc round otherwise,
-    the recorded bits do not apply."""
-    probe, x = _BITS["probe"], np.linspace(0.0, 40.0, 97)
-    if (_hexes(np.exp(-x)) != probe["exp"]
-            or _hexes(chebyshev_rule(7).nodes) != probe["nodes"]
-            or _hexes(special.gammaincc(150, 100.0 + x)) != probe["gammaincc"]):
-        pytest.skip("exp, cos or gammaincc round differently from the recording's build")
+    functions the bits rest on: where exp, cos, gammaincc, log1p or pow round
+    otherwise (another numpy build or CPU dispatch), the recorded bits do not
+    apply."""
+    if not _libm_matches_recording():
+        pytest.skip("libm rounds differently from the recording's numpy build and dispatch")
     cfg = LinkConfig(10.0 ** (point["snr_db"] / 10.0), 1.0,
                      point["r_u"] if kind == "unicast" else 6.0, point.get("r_s", 0.0))
     prob = unicast_outage_prob if kind == "unicast" else secrecy_outage_prob
     assert _hexes(astuple(prob(point["m"], point["k"], cfg, chebyshev_rule(point["na"]), check_refinement=True))) == (
         point["bits"])
+
+
+def test_recorded_bits_hold_or_skip_under_another_cpu_dispatch():
+    """With numpy's AVX-512 kernels disabled, exp, log1p and pow round otherwise
+    on an AVX-512 machine (its AVX2 path): the probe must see that, so every
+    pinned case passes or skips and none fails."""
+    src = Path(nomacast.__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{__file__}::test_closed_forms_match_recorded_bits"],
+                         cwd=Path(__file__).resolve().parents[1], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    counts = re.findall(r"(\d+) (passed|skipped)", run.stdout.splitlines()[-1])
+    assert sum(int(n) for n, _ in counts) == len(_POINTS), run.stdout[-3000:]

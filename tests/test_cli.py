@@ -466,10 +466,39 @@ def test_main_analytic_with_no_closed_form_in_any_variant_exits_3(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+def test_unsupported_closed_form_drops_only_its_own_rows(tmp_path):
+    """At K = 2 the secrecy closed form is unsupported: its note is added once,
+    and the unicast closed form still writes its analytic rows."""
+    code = main(["--scenario", "fig1", "--mode", "analytic", "--k", "2", "--r-s", "1",
+                 "--metric", "secrecy_outage", "--metric", "unicast_outage",
+                 "--snr", "0,20", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fig1_unicast_outage.csv"]
+    rows = read_csv(tmp_path / "fig1_unicast_outage.csv")
+    assert [(r["snr_db"], r["method"]) for r in rows] == [(0.0, "analytic"), (20.0, "analytic")]
+    report = (tmp_path / "fig1_report.txt").read_text()
+    assert report.count("note: secrecy analytics need K >= 3") == 1
+
+
+def test_each_closed_form_is_evaluated_once_per_snr_point(tmp_path, monkeypatch):
+    """A probability and its outage rate share one closed-form evaluation."""
+    import nomacast.analysis as analysis
+    calls, secrecy = [], analysis.secrecy_outage_prob
+
+    def counting(m, k, cfg, rule):
+        calls.append(cfg.rho)
+        return secrecy(m, k, cfg, rule)
+    monkeypatch.setattr(analysis, "secrecy_outage_prob", counting)
+    scenario = replace(PRESETS["fig4"][0], snr_grid_db=(0.0, 10.0, 20.0), na=40,
+                       metrics=(MetricKind.SECRECY_OUTAGE, MetricKind.OUTAGE_RATE_SECRECY))
+    run_scenario(scenario, out_dir=tmp_path, mode="analytic")
+    assert scenario.name == "fig4_rs1" and calls == [1.0, 10.0, 100.0]
+
+
 def test_main_comparison_failure_exit_code(tmp_path, monkeypatch):
-    import nomacast.cli as cli
-    monkeypatch.setattr(cli, "analytic_value",
-                        lambda metric, cfg, m, k, na, scheduling=False: 0.5)
+    import nomacast.montecarlo as montecarlo
+    monkeypatch.setitem(montecarlo.CLOSED_FORMS, (MetricKind.UNICAST_OUTAGE, False),
+                        (lambda m, k, cfg, rule: 0.5, 0.005))
     code = main(["--scenario", "fig1", "--samples", "2000", "--snr", "40",
                  "--metric", "unicast_outage", "--out", str(tmp_path)])
     assert code == 1  # outage at 40 dB is nowhere near 0.5

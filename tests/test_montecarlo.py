@@ -585,6 +585,25 @@ def test_noma_unicast_rate_not_below_oma_when_unicast_user_is_not_weakest(
     assert np.all(noma >= oma - RATE_EQ_GUARD)
 
 
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(z1=st.floats(0.0, 100.0), u=st.floats(0.0, 100.0), spread=st.floats(0.0, 100.0),
+       snr_db=st.floats(-10.0, 60.0), r_m=st.floats(0.05, 4.0), r_s=st.floats(0.0, 4.0))
+def test_noma_dominates_oma_on_every_realization_under_mrt(z1, u, spread, snr_db, r_m, r_s):
+    """The pathwise theorem (README): under MRT, with g = min(z1, u) above
+    eps_m/rho, NOMA minus OMA rate at gain x is 0 at x = g and never decreases
+    in x >= g.  So no realization has a NOMA secrecy rate below OMA's, and NOMA
+    trails OMA wherever g <= eps_m/rho (both rates are 0) or z1 <= u (equal
+    rates).  Only that direction is asserted: near z1 = u the NOMA gap falls
+    below RATE_EQ_GUARD, which counts as trailing too."""
+    cfg = LinkConfig(10.0 ** (snr_db / 10.0), r_m, 1.0, r_s)
+    z1, u, v = np.array([z1]), np.array([u]), np.array([u + spread])
+    gmin = np.minimum(z1, u)
+    outcomes = _Outcomes(cfg, z1, v, z1, v, gmin, gmin)  # the OMA beam is the MRT one
+    assert not _FIELD_OF["secrecy_violation"](outcomes).any()
+    if gmin[0] <= cfg.eps_m / cfg.rho or z1[0] <= u[0]:
+        assert _FIELD_OF["noma_trails_oma"](outcomes).all()
+
+
 def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
     """A fork-based pool starts every worker it is allowed at its first task,
     so a run of two chunks asks for two workers however many the plan allows."""

@@ -48,6 +48,8 @@ def test_power_split_clamps_to_zero():
     assert oracle.power_fraction(gains(3.0, [0.05]), CFG) == 0.0
     assert power_fraction(0.05, CFG) == 0.0
     assert power_fraction(0.0, CFG) == 0.0
+    # a subnormal gain overflows the masked quotient, which must not warn
+    assert np.array_equal(power_fraction(np.array([1e-320, 5e-324]), CFG), [0.0, 0.0])
 
 
 def test_power_split_limit():
