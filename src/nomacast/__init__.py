@@ -3,8 +3,7 @@ multicast/unicast downlink transmission, with Monte Carlo and closed-form
 evaluation cross-validating each other."""
 
 from .analysis import (QuadratureRule, SecrecyOutageResult, UnicastOutageResult,
-                       UnsupportedAnalyticsError, chebyshev_rule, joint_minmax_pdf,
-                       multicast_outage_prob, noma_rate_advantage,
+                       UnsupportedAnalyticsError, chebyshev_rule, multicast_outage_prob,
                        noma_shortfall_bound, secrecy_outage_prob,
                        unicast_outage_bounds, unicast_outage_prob)
 from .montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, Estimate,
@@ -17,7 +16,6 @@ __all__ = [
     "BEAMFORMER_KINDS", "EQUAL_GAIN", "Estimate", "LinkConfig", "MRT", "MetricKind",
     "QuadratureRule", "RANDOM", "SecrecyOutageResult", "SimulationPlan",
     "UnicastOutageResult", "UnsupportedAnalyticsError", "chebyshev_rule", "estimate_many",
-    "joint_minmax_pdf", "multicast_outage_prob", "noma_rate_advantage",
-    "noma_shortfall_bound", "secrecy_outage_prob", "unicast_outage_bounds",
-    "unicast_outage_prob",
+    "multicast_outage_prob", "noma_shortfall_bound", "secrecy_outage_prob",
+    "unicast_outage_bounds", "unicast_outage_prob",
 ]

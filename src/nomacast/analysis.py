@@ -3,12 +3,11 @@
 Everything here is deterministic numerics: the exact finite-series
 incomplete gamma for integer shapes, the Chebyshev-Gauss rule, the
 three-term unicast outage decomposition with its bounds, the probability
-that NOMA trails OMA above the multicast threshold, the per-eavesdropper rate
-advantage function, the joint min/max density of the non-unicast gains,
-and the three-term secrecy outage decomposition.  Each closed form takes
-the system size (m antennas, k users) and the operating point as the same
-``LinkConfig`` the Monte Carlo engine reads, which is the independent
-cross-check for all of it.
+that NOMA trails OMA above the multicast threshold, and the three-term
+secrecy outage decomposition over the joint min/max density of the
+non-unicast gains.  Each closed form takes the system size (m antennas,
+k users) and the operating point as the same ``LinkConfig`` the Monte Carlo
+engine reads, which is the independent cross-check for all of it.
 """
 
 from __future__ import annotations
@@ -122,7 +121,6 @@ class UnicastOutageResult:
     q1: float
     q2: float
     q3: float
-    refinement_delta: float | None = None
 
 
 def _bottleneck_outage_prob(m: int, k: int, cfg: LinkConfig) -> float:
@@ -149,26 +147,20 @@ def _unicast_q3(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule) -> float:
                         * np.sqrt(1.0 - rule.nodes**2)))
 
 
-def unicast_outage_prob(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule,
-                        check_refinement: bool = False) -> UnicastOutageResult:
+def unicast_outage_prob(m: int, k: int, cfg: LinkConfig,
+                        rule: QuadratureRule) -> UnicastOutageResult:
     """NOMA unicast outage probability P(R_U1 < r_u).
 
     Decomposes the outage event into the all-multicast branch (q1), the
     branch where the unicast user's own gain is the allocation bottleneck
     (q2, in closed form), and the branch where the weakest other user is
     (q3, by Chebyshev-Gauss quadrature on the reciprocal-gain axis).
-
-    With ``check_refinement`` the quadrature is repeated at twice the node
-    count and the difference reported; a delta above ~1e-4 flags a rule
-    that is too coarse for the operating point.
     """
     q1 = multicast_outage_prob(m, k, cfg)
     q2 = _bottleneck_outage_prob(m, k, cfg)
     q3 = _unicast_q3(m, k, cfg, rule)
     raw = q1 + q2 + q3
-    delta = (abs(raw - (q1 + q2 + _unicast_q3(m, k, cfg, chebyshev_rule(2 * rule.order))))
-             if check_refinement else None)
-    return UnicastOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q1, q2, q3, delta)
+    return UnicastOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q1, q2, q3)
 
 
 @dataclass(frozen=True)
@@ -209,7 +201,7 @@ class ShortfallBound:
 def noma_shortfall_bound(m: int, k: int, cfg: LinkConfig) -> ShortfallBound:
     """P(eps_m/rho < z1 < u), which tends to K^-M as the SNR grows.  There both
     schemes deliver the same unicast rate and elsewhere above the multicast
-    threshold NOMA's is higher (see noma_rate_advantage), so under unscheduled
+    threshold NOMA's is higher (the README's pathwise theorem), so under unscheduled
     MRT multicast_outage_prob + exact is exactly P(NOMA rate <= OMA rate)."""
     _check_size(m, k)
     exact = float(_upper_reg(m, k * cfg.eps_m / cfg.rho) * float(k) ** -m)
@@ -217,24 +209,6 @@ def noma_shortfall_bound(m: int, k: int, cfg: LinkConfig) -> ShortfallBound:
 
 
 # --- secrecy ------------------------------------------------------------------
-
-def noma_rate_advantage(u: float, x, cfg: LinkConfig):
-    """NOMA-minus-OMA unicast rate at gain x when the weakest gain is u.
-
-    Vanishes exactly at x = u and never decreases in x >= u, so under MRT the
-    NOMA secrecy rate is at least the OMA one on every realization.
-    """
-    u, eps_m, rho = float(u), cfg.eps_m, cfg.rho
-    if not u > eps_m / rho:
-        raise ValueError("the weakest gain must exceed the multicast threshold")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < u):
-        raise ValueError("gain x must be at least the weakest gain u")
-    boost = (u - eps_m / rho) / (u * (1.0 + eps_m))
-    adv = (np.log2(1.0 + rho * x * boost)
-           - (1.0 - cfg.r_m / np.log2(1.0 + rho * u)) * np.log2(1.0 + rho * x))
-    return float(adv) if adv.ndim == 0 else adv
-
 
 def _minmax_density(eu, ev, k: int, base):
     """eu (eu - ev)^(k-3), written over eu, by repeated squaring (no libm pow) with
@@ -250,16 +224,6 @@ def _minmax_density(eu, ev, k: int, base):
     return eu
 
 
-def joint_minmax_pdf(u, v, k: int):
-    """Joint density of the min and max of k-1 unit exponentials on u <= v."""
-    if k < 3:
-        raise UnsupportedAnalyticsError(f"joint min/max analytics need K >= 3, got {k}")
-    ev = np.exp(-np.asarray(v, dtype=np.float64))
-    eu = np.array(np.broadcast_arrays(np.exp(-np.asarray(u, dtype=np.float64)), ev)[0])
-    pdf = (k - 1) * (k - 2) * ev * _minmax_density(eu, ev, k, np.empty_like(eu))
-    return float(pdf) if pdf.ndim == 0 else pdf
-
-
 @dataclass(frozen=True)
 class SecrecyOutageResult:
     """Assembled NOMA secrecy outage probability with its three components."""
@@ -269,7 +233,6 @@ class SecrecyOutageResult:
     q4: float
     q5: float
     q6: float
-    refinement_delta: float | None = None
 
 
 def _minmax_tail_cap(k: int, cfg: LinkConfig) -> float:
@@ -329,8 +292,8 @@ def _secrecy_q4_q6(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule):
     return float(q4), float(q6)
 
 
-def secrecy_outage_prob(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule,
-                        check_refinement: bool = False) -> SecrecyOutageResult:
+def secrecy_outage_prob(m: int, k: int, cfg: LinkConfig,
+                        rule: QuadratureRule) -> SecrecyOutageResult:
     """NOMA secrecy outage probability P((z1 - 2^r_s v) alpha_U^2 <= eps_s/rho).
 
     A realization with no positive secrecy rate is an outage, even at r_s = 0.
@@ -347,9 +310,4 @@ def secrecy_outage_prob(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule,
     q5 = multicast_outage_prob(m, k, cfg) + noma_shortfall_bound(m, k, cfg).exact
     q4, q6 = _secrecy_q4_q6(m, k, cfg, rule)
     raw = q4 + q5 + q6
-    delta = None
-    if check_refinement:
-        finer = chebyshev_rule(2 * rule.order)
-        f4, f6 = _secrecy_q4_q6(m, k, cfg, finer)
-        delta = abs(raw - (f4 + q5 + f6))
-    return SecrecyOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q4, q5, q6, delta)
+    return SecrecyOutageResult(float(np.clip(raw, 0.0, 1.0)), raw, q4, q5, q6)

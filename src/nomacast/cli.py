@@ -82,7 +82,8 @@ class Scenario:
             raise ScenarioError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.metrics:
             raise ScenarioError("no metrics requested")
-        for what, values in (("SNR point", self.snr_grid_db), ("metric", self.metrics)):
+        labels = [f"{x + 0.0:.9g}" for x in self.snr_grid_db]  # as emit_csv writes them
+        for what, values in (("SNR point", labels), ("metric", self.metrics)):
             if dup := [getattr(x, "value", x) for x, n in Counter(values).items() if n > 1]:
                 raise ScenarioError(f"repeated {what} {dup[0]}")
         return self

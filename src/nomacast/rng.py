@@ -1,10 +1,11 @@
 """Reproducible random windows built on the counter-based Philox generator.
 
-:func:`window_bits` carves one keyed stream into fixed-width counter
-windows, one window per Monte Carlo realization, and :func:`bits_to_uniform`
+One keyed stream is carved into fixed-width counter windows, one window per
+Monte Carlo realization (:func:`window_generator`), and :func:`fill_uniform`
 maps each word to a double in (0, 1).  Realization ``i`` always consumes the
 same counter range, so any chunking of a run reproduces bit-identical values.
-The engine draws the same uniforms in place (:func:`fill_uniform`).
+The tests keep the word-level definition of the same stream
+(``tests/rng_stream.py``: ``window_bits`` and ``bits_to_uniform``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_SHIFT11 = np.uint64(11)
 
 # Key domains for the Monte Carlo window streams, kept far away from small
 # stream ids.  DOMAIN_GAIN_STATS serves unscheduled MRT runs, DOMAIN_GAINS
@@ -29,23 +29,6 @@ def _key(seed: int, word: int) -> np.ndarray:
     return np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
 
 
-def bits_to_uniform(bits: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in the open interval (0, 1): the top 2^11
-    words, which round to 1.0, give the largest double below 1."""
-    u = ((bits >> _SHIFT11).astype(np.float64) + 0.5) * 2.0**-53
-    return np.minimum(u, 1.0 - 2.0**-53, out=u)
-
-
-def window_bits(seed: int, domain: int, first: int, count: int, width: int) -> np.ndarray:
-    """Raw words of windows ``[first, first + count)``, shape ``(count, width)``:
-    row ``i`` depends only on ``(seed, domain, first + i, width)``."""
-    if width < 1 or count < 0:
-        raise ValueError("width must be >= 1 and count >= 0")
-    padded = -(-width // 4) * 4
-    gen = window_generator(seed, domain, first, width)
-    return gen.bit_generator.random_raw(count * padded).reshape(count, padded)[:, :width]
-
-
 def window_generator(seed: int, domain: int, first: int, width: int) -> np.random.Generator:
     """A generator at window ``first`` of width ``width``: window ``i`` occupies
     Philox counter blocks ``[i * ceil(width / 4), ...)`` under the key
@@ -56,8 +39,8 @@ def window_generator(seed: int, domain: int, first: int, width: int) -> np.rando
 
 
 def fill_uniform(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous float64 ``out`` with bits_to_uniform of the next
-    ``out.size`` words b of ``gen``: random() gives (b >> 11) 2^-53 exactly,
+    """Fill the C-contiguous float64 ``out`` with min(((b >> 11) + 1/2) 2^-53, 1 - 2^-53)
+    of the next ``out.size`` words b of ``gen``: random() gives (b >> 11) 2^-53 exactly,
     and adding 2^-54 rounds as adding 1/2 does before that power-of-two scale."""
     gen.random(out=out)
     np.add(out, 2.0**-54, out=out)

@@ -54,10 +54,13 @@ class LinkConfig:
             raise ValueError(f"secrecy rate must be nonnegative, got {self.r_s}")
         for name in ("r_m", "r_u", "r_s"):
             try:
-                2.0 ** getattr(self, name)
+                eps = 2.0 ** getattr(self, name) - 1.0
             except OverflowError:
                 raise ValueError(f"{name} = {getattr(self, name)} is out of range: "
                                  f"its threshold 2**{name} - 1 overflows") from None
+            if eps == 0.0 and name != "r_s":  # the closed forms divide by it
+                raise ValueError(f"{name} = {getattr(self, name)} is out of range: "
+                                 f"its threshold 2**{name} - 1 rounds to 0")
 
     @property
     def eps_m(self) -> float:

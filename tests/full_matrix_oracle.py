@@ -17,8 +17,7 @@ import numpy as np
 
 from link_oracle import Gains, gains
 from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM
-from nomacast.rng import window_bits
-from rng_stream import RngStream, bits_to_normal
+from rng_stream import RngStream, bits_to_normal, window_bits
 
 DOMAIN_FULL_MATRIX = (1 << 32) + 1
 _CHUNK = 1 << 14  # keeps the complex channel arrays small

@@ -1,10 +1,13 @@
-"""Sequential random streams for the tests and their oracles.
+"""Random streams for the tests and their oracles, defined word by word.
 
-The package draws only counter windows (see :mod:`nomacast.rng`).
-Draws outside the Monte Carlo engine -- test inputs and the channel-matrix
-oracle -- come from :class:`RngStream`, one independent Philox stream per
-``(seed, stream_id)`` pair; standard normals come from :func:`bits_to_normal`
-and exponentials from :func:`bits_to_exponential`.
+The package draws its counter windows in place (see :mod:`nomacast.rng`).
+:func:`window_bits` is the definition of that stream: the raw words of a
+window range, which :func:`bits_to_uniform` maps to doubles in (0, 1), as
+``rng.fill_uniform`` must, bit for bit.  Draws outside the Monte Carlo
+engine -- test inputs and the channel-matrix oracle -- come from
+:class:`RngStream`, one independent Philox stream per ``(seed, stream_id)``
+pair; standard normals come from :func:`bits_to_normal` and exponentials
+from :func:`bits_to_exponential`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,26 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from nomacast.rng import _key, bits_to_uniform
+from nomacast.rng import _key, window_generator
+
+_SHIFT11 = np.uint64(11)
+
+
+def bits_to_uniform(bits: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to doubles in the open interval (0, 1): the top 2^11
+    words, which round to 1.0, give the largest double below 1."""
+    u = ((bits >> _SHIFT11).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def window_bits(seed: int, domain: int, first: int, count: int, width: int) -> np.ndarray:
+    """Raw words of windows ``[first, first + count)``, shape ``(count, width)``:
+    row ``i`` depends only on ``(seed, domain, first + i, width)``."""
+    if width < 1 or count < 0:
+        raise ValueError("width must be >= 1 and count >= 0")
+    padded = -(-width // 4) * 4
+    gen = window_generator(seed, domain, first, width)
+    return gen.bit_generator.random_raw(count * padded).reshape(count, padded)[:, :width]
 
 
 def bits_to_exponential(bits: np.ndarray) -> np.ndarray:

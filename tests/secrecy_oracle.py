@@ -1,4 +1,5 @@
-"""Whole-grid secrecy quadrature: the oracle for ``analysis._secrecy_q4_q6``.
+"""Whole-grid secrecy quadrature: the oracle for ``analysis._secrecy_q4_q6``,
+and the paper's proof devices the package uses only inside its closed forms.
 
 The package evaluates the nested Chebyshev-Gauss grid in blocks of rows,
 sums each block on its own, and runs the incomplete-gamma series on
@@ -9,8 +10,10 @@ tolerances set from float64 epsilon.  Like the package, ``upper_reg``
 multiplies by exp(-x/2) twice where x > 700, so it has no false zeros where
 exp(-x) alone underflows.  Above shape 100 it takes gammaincc only where
 the series overflows; the tests compare the package with gammaincc there.
-The density is the package's ``joint_minmax_pdf``, which
-``test_joint_pdf_matches_expansion`` checks on its own.
+The density is :func:`joint_minmax_pdf`, the package's ``_minmax_density``
+scaled to a density, which ``test_joint_pdf_matches_expansion`` checks on its
+own.  :func:`noma_rate_advantage` is the NOMA-minus-OMA rate function of the
+README's pathwise theorem.
 """
 
 from __future__ import annotations
@@ -18,9 +21,37 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincc
 
-from nomacast.analysis import (_GAMMA_ARG_CAP, QuadratureRule, _minmax_tail_cap,
-                               joint_minmax_pdf)
+from nomacast.analysis import (_GAMMA_ARG_CAP, QuadratureRule, UnsupportedAnalyticsError,
+                               _minmax_density, _minmax_tail_cap)
 from nomacast.transmission import LinkConfig
+
+
+def noma_rate_advantage(u: float, x, cfg: LinkConfig):
+    """NOMA-minus-OMA unicast rate at gain x when the weakest gain is u.
+
+    Vanishes exactly at x = u and never decreases in x >= u, so under MRT the
+    NOMA secrecy rate is at least the OMA one on every realization.
+    """
+    u, eps_m, rho = float(u), cfg.eps_m, cfg.rho
+    if not u > eps_m / rho:
+        raise ValueError("the weakest gain must exceed the multicast threshold")
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < u):
+        raise ValueError("gain x must be at least the weakest gain u")
+    boost = (u - eps_m / rho) / (u * (1.0 + eps_m))
+    adv = (np.log2(1.0 + rho * x * boost)
+           - (1.0 - cfg.r_m / np.log2(1.0 + rho * u)) * np.log2(1.0 + rho * x))
+    return float(adv) if adv.ndim == 0 else adv
+
+
+def joint_minmax_pdf(u, v, k: int):
+    """Joint density of the min and max of k-1 unit exponentials on u <= v."""
+    if k < 3:
+        raise UnsupportedAnalyticsError(f"joint min/max analytics need K >= 3, got {k}")
+    ev = np.exp(-np.asarray(v, dtype=np.float64))
+    eu = np.array(np.broadcast_arrays(np.exp(-np.asarray(u, dtype=np.float64)), ev)[0])
+    pdf = (k - 1) * (k - 2) * ev * _minmax_density(eu, ev, k, np.empty_like(eu))
+    return float(pdf) if pdf.ndim == 0 else pdf
 
 
 def upper_reg(shape: int, x) -> np.ndarray:

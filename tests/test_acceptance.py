@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from nomacast.analysis import (chebyshev_rule, joint_minmax_pdf,
-                               noma_rate_advantage, noma_shortfall_bound,
+from nomacast.analysis import (chebyshev_rule, noma_shortfall_bound,
                                secrecy_outage_prob, unicast_outage_prob)
 from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many
-from nomacast.rng import DOMAIN_GAIN_STATS, bits_to_uniform, window_bits
+from nomacast.rng import DOMAIN_GAIN_STATS
 from nomacast.transmission import LinkConfig, power_fraction, time_fraction
 from numeric_oracle import adaptive_integrate, incomplete_gamma_int
-from rng_stream import RngStream, bits_to_exponential
+from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
+from secrecy_oracle import joint_minmax_pdf, noma_rate_advantage
 from window_oracle import sample_gains
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -15,11 +15,11 @@ from scipy import special
 import link_oracle as oracle
 import nomacast
 import secrecy_oracle
-from nomacast.analysis import (UnsupportedAnalyticsError, _psi,
-                               chebyshev_rule, joint_minmax_pdf,
-                               multicast_outage_prob, noma_rate_advantage,
-                               noma_shortfall_bound, secrecy_outage_prob,
-                               unicast_outage_bounds, unicast_outage_prob)
+from nomacast.analysis import (UnsupportedAnalyticsError, _psi, chebyshev_rule,
+                               multicast_outage_prob, noma_shortfall_bound,
+                               secrecy_outage_prob, unicast_outage_bounds,
+                               unicast_outage_prob)
+from secrecy_oracle import joint_minmax_pdf, noma_rate_advantage
 from numeric_oracle import adaptive_integrate, incomplete_gamma_int
 from rng_stream import RngStream
 from nomacast.transmission import LinkConfig
@@ -27,6 +27,13 @@ from nomacast.transmission import LinkConfig
 
 def params(m, k, snr_db, r_m=1.0, r_u=6.0, r_s=0.0):
     return m, k, LinkConfig(10.0 ** (snr_db / 10.0), r_m, r_u, r_s)
+
+
+def refinement_delta(prob, m, k, cfg, na):
+    """How far a closed form's raw value moves when its na-node rule doubles;
+    above ~1e-4 it flags a rule too coarse for the operating point."""
+    return abs(prob(m, k, cfg, chebyshev_rule(na)).raw
+               - prob(m, k, cfg, chebyshev_rule(2 * na)).raw)
 
 
 # --- incomplete gamma ----------------------------------------------------------
@@ -195,9 +202,7 @@ def test_unicast_outage_nonincreasing_in_snr():
 
 
 def test_unicast_outage_refinement_delta():
-    res = unicast_outage_prob(*params(10, 11, 16.0), chebyshev_rule(500),
-                              check_refinement=True)
-    assert res.refinement_delta is not None and res.refinement_delta < 1e-4
+    assert refinement_delta(unicast_outage_prob, *params(10, 11, 16.0), 500) < 1e-4
 
 
 def test_q3_matches_adaptive_oracle():
@@ -375,9 +380,7 @@ def test_secrecy_outage_certain_at_low_snr():
 
 
 def test_secrecy_outage_refinement_delta():
-    res = secrecy_outage_prob(*params(10, 11, 20.0, r_s=2.0), chebyshev_rule(500),
-                              check_refinement=True)
-    assert res.refinement_delta is not None and res.refinement_delta < 1e-4
+    assert refinement_delta(secrecy_outage_prob, *params(10, 11, 20.0, r_s=2.0), 500) < 1e-4
 
 
 def test_secrecy_zero_target_drops_gap_branch():
@@ -442,13 +445,13 @@ def test_secrecy_quadrature_matches_whole_grid_oracle(m, na):
 
 @pytest.mark.parametrize("m, na", [(10, 7), (10, 33), (150, 33), (10, 500)])
 def test_secrecy_refinement_matches_whole_grid_oracle(m, na):
-    """check_refinement reruns the doubled grid; its delta agrees to 2e-13."""
+    """The change from the na rule to the doubled one agrees to 2e-13."""
     p = params(m, 11, 20.0, r_s=2.0)
-    res = secrecy_outage_prob(*p, chebyshev_rule(na), check_refinement=True)
+    res = secrecy_outage_prob(*p, chebyshev_rule(na))
     q4, q6 = secrecy_oracle.secrecy_q4_q6(*p, chebyshev_rule(na))
     f4, f6 = secrecy_oracle.secrecy_q4_q6(*p, chebyshev_rule(2 * na))
     assert (res.q4, res.q6) == pytest.approx((q4, q6), rel=0, abs=1e-13)
-    assert res.refinement_delta == pytest.approx(
+    assert refinement_delta(secrecy_outage_prob, *p, na) == pytest.approx(
         abs(q4 + res.q5 + q6 - (f4 + res.q5 + f6)), rel=0, abs=2e-13)
 
 
@@ -500,7 +503,7 @@ _POINTS = [(kind, pt) for kind in ("unicast", "secrecy") for pt in _BITS[kind]]
     "-".join([kind] + [f"{key}{val:g}" for key, val in pt.items() if key != "bits"])
     for kind, pt in _POINTS])
 def test_closed_forms_match_recorded_bits(kind, point):
-    """Every result field, refinement delta included, equals the float.hex
+    """Every result field, and the refinement delta last, equals the float.hex
     recorded before q3 and the secrecy block loop were rewritten in place
     (the golden CSVs fix only 9 digits).  The points cover M = 10 and 2 at
     na = 20, M = 150 (the gammaincc path) for both closed forms, and for the
@@ -514,7 +517,9 @@ def test_closed_forms_match_recorded_bits(kind, point):
     cfg = LinkConfig(10.0 ** (point["snr_db"] / 10.0), 1.0,
                      point["r_u"] if kind == "unicast" else 6.0, point.get("r_s", 0.0))
     prob = unicast_outage_prob if kind == "unicast" else secrecy_outage_prob
-    assert _hexes(astuple(prob(point["m"], point["k"], cfg, chebyshev_rule(point["na"]), check_refinement=True))) == (
+    system = point["m"], point["k"], cfg
+    res = prob(*system, chebyshev_rule(point["na"]))
+    assert _hexes(astuple(res) + (refinement_delta(prob, *system, point["na"]),)) == (
         point["bits"])
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import nomacast
 from csv_reader import read_csv
+from nomacast import cli
+from nomacast.analysis import chebyshev_rule, unicast_outage_prob
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, run_scenario)
@@ -87,6 +89,23 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from nomacast import *", namespace)  # raises AttributeError on a stale name
     assert set(nomacast.__all__) <= set(namespace)
+
+
+def test_names_the_benchmark_reads_from_cli(tmp_path):
+    """perfbench drives the package through these cli names, and
+    perfbench/make_reference.py takes its closed-form references from
+    analytic_value; dropping one would pass every other test."""
+    cfg = LinkConfig(10.0 ** 1.6, 1.0, 6.0)
+    p = unicast_outage_prob(10, 11, cfg, chebyshev_rule(20)).total
+    assert cli.analytic_value(MetricKind.UNICAST_OUTAGE, cfg, 10, 11, 20) == p
+    assert cli.analytic_value(MetricKind.OUTAGE_RATE_UNICAST, cfg, 10, 11, 20) == (
+        6.0 * (1.0 - p))
+    assert cli.analytic_value(MetricKind.UNICAST_OUTAGE, cfg, 10, 11, 20, True) is None
+    assert cli.analysis is nomacast.analysis  # perfbench times the closed forms there
+    variants, _ = cli.resolve_scenarios("fig1")
+    report, paths = cli.run_scenario(replace(variants[0], snr_grid_db=(16.0,)),
+                                     out_dir=tmp_path, mode="analytic", workers=1)
+    assert report.all_pass and paths and callable(cli.emit_csv)
 
 
 def test_module_entry_point_exits_with_main_status(tmp_path):
@@ -262,11 +281,12 @@ def test_repeated_metric_or_snr_point_is_evaluated_once(tmp_path):
 
 def test_repeated_snr_point_or_metric_from_the_api_is_rejected(tmp_path):
     """The parsers drop repeats, but a Scenario built in code reaches
-    run_scenario as it is; a repeat would write its CSV rows twice."""
+    run_scenario as it is; a repeat would write its CSV rows twice.  Two
+    points that the CSV writes with the same 9-digit label are a repeat."""
     fig1 = PRESETS["fig1"][0]
-    with pytest.raises(ScenarioError, match="repeated SNR point 0.0"):
-        run_scenario(replace(fig1, snr_grid_db=(0.0, 0.0)), out_dir=tmp_path,
-                     mode="analytic")
+    for grid, label in (((0.0, 0.0), "0"), ((1.0000000001, 1.0000000002), "1")):
+        with pytest.raises(ScenarioError, match=f"repeated SNR point {label}$"):
+            run_scenario(replace(fig1, snr_grid_db=grid), out_dir=tmp_path, mode="analytic")
     with pytest.raises(ScenarioError, match="repeated metric unicast_outage"):
         run_scenario(replace(fig1, metrics=(MetricKind.UNICAST_OUTAGE,) * 2),
                      out_dir=tmp_path, mode="analytic")
@@ -353,13 +373,15 @@ def _read_bad_header(inputs, out):
     (_read_bad_header, ScenarioError, "unexpected CSV header"),
     (lambda inputs, out: LinkConfig(0.0, 1.0, 1.0), ValueError,
      "rho must be positive, got 0.0"),
+    (_main("--scenario", "fig1", "--mode", "analytic", "--snr", "10", "--r-m", "1e-17"), 2,
+     "r_m = 1e-17 is out of range: its threshold 2**r_m - 1 rounds to 0"),
     (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], [LinkConfig(10.0, 1.0, 2.0)],
                                        (0, 3), SimulationPlan(10, 1)), ValueError,
      "need at least 1 antenna, got 0"),
 ], ids=["system_size", "empty_grid", "node_count", "oma_beamformer", "no_metrics",
         "unknown_mode", "boolean", "no_section", "malformed", "duplicate_key",
         "no_section_header", "duplicate_section", "no_rows", "csv_header", "rho",
-        "no_antenna"])
+        "tiny_rate", "no_antenna"])
 def test_invalid_input_is_rejected_before_anything_is_written(tmp_path, capsys, call, error,
                                                               message):
     """main exits with the code and one stderr line naming the cause; the API

@@ -16,7 +16,8 @@ from scipy import stats
 from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
 from nomacast import montecarlo
 from nomacast.montecarlo import BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
+from rng_stream import bits_to_uniform, window_bits
 from window_oracle import sample_gains
 
 N = 100_000

@@ -13,9 +13,9 @@ from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, EQUAL_GAIN, MRT, OUTAG
                                  RANDOM, MetricKind, SimulationPlan, _chunk_moments, _FIELD_OF,
                                  _FIELDS, _field_estimates, _gain_moments, _Outcomes,
                                  _sample_gains, derive_estimate, estimate_many, source_metric)
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
-from rng_stream import RngStream, bits_to_exponential
+from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
 from window_oracle import sample_gains, window_gains
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nomacast.rng import bits_to_uniform, fill_uniform, window_bits, window_generator
-from rng_stream import RngStream, bits_to_exponential, bits_to_normal
+from nomacast.rng import fill_uniform, window_generator
+from rng_stream import (RngStream, bits_to_exponential, bits_to_normal, bits_to_uniform,
+                        window_bits)
 
 # Frozen outputs pin the cross-platform determinism contract.
 GOLDEN_STREAM_RAW = [7731391513398885473, 17185639166945717721,

@@ -29,6 +29,9 @@ def test_link_config_thresholds():
     dict(rho=10.0, r_m=1.0, r_u=2000.0),
     dict(rho=10.0, r_m=1024.0, r_u=1.0),
     dict(rho=10.0, r_m=1.0, r_u=1.0, r_s=1e6),
+    # thresholds 2**r - 1 that round to 0, which the closed forms divide by
+    dict(rho=10.0, r_m=1e-17, r_u=1.0),
+    dict(rho=10.0, r_m=1.0, r_u=1e-17),
 ])
 def test_link_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """The Monte Carlo gains computed the plain way, from the raw window words.
 
-:func:`window_gains` draws a window range with :func:`nomacast.rng.window_bits`,
-maps it with ``bits_to_uniform`` and ``bits_to_exponential`` and assembles
-the six gains with whole-array operations.  The engine draws the same
-uniforms in place, a block at a time (``nomacast.montecarlo._sample_gains``);
-the two must agree bit for bit.  The law behind each window layout is
-described in ``nomacast.montecarlo._block_gains``.
+:func:`window_gains` draws a window range with ``window_bits``, the stream's
+definition in ``rng_stream``, maps it with ``bits_to_uniform`` and
+``bits_to_exponential`` and assembles the six gains with whole-array
+operations.  The engine draws the same uniforms in place, a block at a time
+(``nomacast.montecarlo._sample_gains``); the two must agree bit for bit.
+The law behind each window layout is described in
+``nomacast.montecarlo._block_gains``.
 
 :func:`sample_gains` is the engine's sampler over a whole window range, as
 one block.
@@ -16,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from nomacast.montecarlo import MRT, _sample_gains
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, bits_to_uniform, window_bits
-from rng_stream import bits_to_exponential
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
+from rng_stream import bits_to_exponential, bits_to_uniform, window_bits
 
 
 def sample_gains(m: int, k: int, plan, first: int, n: int) -> np.ndarray:
