@@ -40,12 +40,15 @@ CSV_HEADER = ("snr_db", "metric", "method", "value", "stderr", "ci_low", "ci_hig
 
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 12345
-_CONFIG_KEYS = ("name", "m", "k", "r_m", "r_u", "r_s", "snr_db", "na", "metrics",
-                "scheduling", "oma_beamformer", "samples", "seed")  # README grammar
 
 
 class ScenarioError(Exception):
     """Unknown scenario name, malformed configuration or unwritable output."""
+
+
+def _snr_label(snr_db) -> str:
+    """An SNR point as the CSVs and the report write it (-0.0 as 0)."""
+    return f"{snr_db + 0.0:.9g}"
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,9 @@ class Scenario:
     oma_beamformer: str = MRT
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):  # every Scenario that exists is valid
+        self.validate()
 
     def validate(self):
         # the name is the stem of every output file, so it must not leave --out
@@ -82,11 +88,10 @@ class Scenario:
             raise ScenarioError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.metrics:
             raise ScenarioError("no metrics requested")
-        labels = [f"{x + 0.0:.9g}" for x in self.snr_grid_db]  # as emit_csv writes them
+        labels = [_snr_label(x) for x in self.snr_grid_db]
         for what, values in (("SNR point", labels), ("metric", self.metrics)):
             if dup := [getattr(x, "value", x) for x, n in Counter(values).items() if n > 1]:
                 raise ScenarioError(f"repeated {what} {dup[0]}")
-        return self
 
 
 _UNICAST_METRICS = (MetricKind.UNICAST_OUTAGE, MetricKind.UNICAST_OUTAGE_OMA,
@@ -177,11 +182,11 @@ class ComparisonReport:
         if not self.rows:
             lines.append("  no analytic/Monte-Carlo pairs to compare")
         for row, verdict in zip(self.rows, self.verdicts):
-            lines.append(f"  {row.snr_db:6.1f} dB  {row.metric.value:<26} "
+            lines.append(f"  {_snr_label(row.snr_db):>6} dB  {row.metric.value:<26} "
                          f"analytic={row.analytic:.6g} mc={row.mc_value:.6g} "
                          f"|diff|={row.abs_diff:.3g}  {verdict}")
         for snr_db, label, gap in self.gaps:
-            lines.append(f"  {snr_db:6.1f} dB  {label}: {gap:+.3f} BPCU")
+            lines.append(f"  {_snr_label(snr_db):>6} dB  {label}: {gap:+.3f} BPCU")
         lines.append(f"  verdict: {'PASS' if self.all_pass else 'FAIL'}")
         return "\n".join(lines)
 
@@ -198,7 +203,7 @@ def emit_csv(rows, path):
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in rows:
-                writer.writerow([f"{r['snr_db']:.9g}", r["metric"], r["method"],
+                writer.writerow([_snr_label(r["snr_db"]), r["metric"], r["method"],
                                  f"{r['value']:.9g}", f"{r['stderr']:.9g}",
                                  f"{r['ci_low']:.9g}", f"{r['ci_high']:.9g}"])
     except OSError as exc:
@@ -219,7 +224,6 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
 
 def _evaluate(scenario: Scenario, mode: str, workers: int):
     """(report, {metric: CSV rows}) of one variant; writes nothing."""
-    scenario.validate()
     if mode not in ("analytic", "mc", "both"):
         raise ScenarioError(f"unknown mode {mode!r}")
     if workers < 1:
@@ -304,11 +308,19 @@ def parse_metrics(items):
 
 
 def _parse_bool(text: str) -> bool:
-    if text.lower() in ("on", "true", "yes", "1"):
-        return True
-    if text.lower() in ("off", "false", "no", "0"):
-        return False
-    raise ScenarioError(f"cannot parse boolean {text!r}")
+    if (value := configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())) is None:
+        raise ScenarioError(f"cannot parse boolean {text!r}")
+    return value
+
+
+# config key: (Scenario field, parser of its text); a flag's destination is its
+# key, and argparse has already converted a numeric flag (README grammar)
+_KEYS = {"name": ("name", str), "m": ("m", int), "k": ("k", int), "r_m": ("r_m", float),
+         "r_u": ("r_u", float), "r_s": ("r_s", float),
+         "snr_db": ("snr_grid_db", parse_snr_grid), "na": ("na", int),
+         "metrics": ("metrics", lambda text: parse_metrics(text.split(","))),
+         "scheduling": ("scheduling", _parse_bool), "oma_beamformer": ("oma_beamformer", str),
+         "samples": ("samples", int), "seed": ("seed", int)}
 
 
 def load_scenario_file(path) -> Scenario:
@@ -321,26 +333,13 @@ def load_scenario_file(path) -> Scenario:
             raise ScenarioError(f"{path} has no [scenario] section")
         sec = parser["scenario"]
         for key in sec:  # a misspelt key must not fall back to a default silently
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ScenarioError(f"{path}: unknown key {key!r}")
         for req in ("m", "k", "r_m", "r_u", "metrics"):
             if req not in sec:
                 raise ScenarioError(f"{path}: missing required key {req!r}")
-        return Scenario(
-            name=sec.get("name", Path(path).stem),
-            m=sec.getint("m"),
-            k=sec.getint("k"),
-            r_m=sec.getfloat("r_m"),
-            r_u=sec.getfloat("r_u"),
-            r_s=sec.getfloat("r_s", 0.0),
-            snr_grid_db=parse_snr_grid(sec.get("snr_db", "0:40:4")),
-            na=sec.getint("na", 20),
-            metrics=parse_metrics(sec.get("metrics").split(",")),
-            scheduling=_parse_bool(sec.get("scheduling", "off")),
-            oma_beamformer=sec.get("oma_beamformer", MRT),
-            samples=sec.getint("samples", DEFAULT_SAMPLES),
-            seed=sec.getint("seed", DEFAULT_SEED),
-        ).validate()
+        texts = {"name": Path(path).stem, "r_s": "0", "snr_db": "0:40:4", "na": "20", **sec}
+        return Scenario(**{_KEYS[key][0]: _KEYS[key][1](t) for key, t in texts.items()})
     except (configparser.Error, TypeError, ValueError) as exc:  # some span lines
         raise ScenarioError(f"malformed scenario config {path}: "
                             f"{' '.join(str(exc).splitlines())}") from None
@@ -357,17 +356,10 @@ def resolve_scenarios(name=None, config_path=None):
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
-    if args.metric:
-        updates["metrics"] = parse_metrics(args.metric)
-    if args.snr is not None:
-        updates["snr_grid_db"] = parse_snr_grid(args.snr)
-    if args.scheduling is not None:
-        updates["scheduling"] = _parse_bool(args.scheduling)
-    for key in ("samples", "seed", "na", "oma_beamformer", "m", "k", "r_m", "r_u", "r_s"):
-        if getattr(args, key) is not None:
-            updates[key] = getattr(args, key)
-    return replace(scenario, **updates) if updates else scenario
+    """Each flag given, read as its config key; a repeated flag's values join with commas."""
+    texts = {key: ",".join(v) if isinstance(v, list) else v
+             for key, v in vars(args).items() if key in _KEYS and v is not None}
+    return replace(scenario, **{_KEYS[key][0]: _KEYS[key][1](t) for key, t in texts.items()})
 
 
 def _collapse_identical(scenarios, run_name: str):
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario", help="preset name (fig1..fig5)")
     source.add_argument("--config", help="path to a scenario config file")
-    parser.add_argument("--metric", action="append",
+    parser.add_argument("--metric", dest="metrics", action="append",
                         help="metric to evaluate (repeatable); overrides the "
                              "scenario's list")
     parser.add_argument("--mode", choices=("analytic", "mc", "both"),
@@ -397,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, help="Monte Carlo samples per point")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--snr", help="grid as LO:HI:STEP (dB) or comma list")
+    parser.add_argument("--snr", dest="snr_db", help="grid as LO:HI:STEP (dB) or comma list")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--na", type=int, help="quadrature node count")
-    parser.add_argument("--scheduling", choices=("on", "off"))
+    parser.add_argument("--scheduling", help="on/off, as in a config file")
     parser.add_argument("--oma-beamformer", dest="oma_beamformer",
                         choices=BEAMFORMER_KINDS)
     parser.add_argument("--m", type=int, help="antenna count override")
@@ -415,9 +407,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenarios, run_name = resolve_scenarios(args.scenario, args.config)
-        scenarios = _collapse_identical(
-            [_apply_overrides(s, args).validate() for s in scenarios], run_name)
-        # every variant is evaluated before any file is written: all or nothing
+        scenarios = _collapse_identical([_apply_overrides(s, args) for s in scenarios], run_name)
+        # every variant is evaluated before any file is written
         results = [_evaluate(s, args.mode, args.workers) for s in scenarios]
         reports = [report for report, _ in results]
         if args.mode == "analytic" and not any(any(rows.values()) for _, rows in results):

@@ -349,6 +349,8 @@ def _read_bad_header(inputs, out):
 @pytest.mark.parametrize("call, error, message", [
     (_main("--scenario", "fig1", "--mode", "analytic", "--k", "1"), 2,
      "invalid system size M=10, K=1"),
+    (lambda inputs, out: replace(_FIG1, k=1), ScenarioError,  # a Scenario checks itself
+     "invalid system size M=10, K=1"),
     (lambda inputs, out: run_scenario(replace(_FIG1, snr_grid_db=()), out), ScenarioError,
      "empty SNR grid"),
     (_main("--scenario", "fig1", "--mode", "analytic", "--na", "0"), 2,
@@ -360,6 +362,8 @@ def _read_bad_header(inputs, out):
     (lambda inputs, out: run_scenario(_FIG1, out, mode="fast"), ScenarioError,
      "unknown mode 'fast'"),
     (_main_on_config(_CFG_HEAD + "metrics = unicast_outage\nscheduling = maybe\n"), 2,
+     "cannot parse boolean 'maybe'"),
+    (_main("--scenario", "fig1", "--mode", "analytic", "--scheduling", "maybe"), 2,
      "cannot parse boolean 'maybe'"),
     (_main_on_config("[other]\nm = 2\n"), 2, "has no [scenario] section"),
     (_main_on_config(_CFG_HEAD.replace("m = 2", "m = two") + "metrics = unicast_outage\n"),
@@ -378,9 +382,9 @@ def _read_bad_header(inputs, out):
     (lambda inputs, out: estimate_many([MetricKind.UNICAST_OUTAGE], [LinkConfig(10.0, 1.0, 2.0)],
                                        (0, 3), SimulationPlan(10, 1)), ValueError,
      "need at least 1 antenna, got 0"),
-], ids=["system_size", "empty_grid", "node_count", "oma_beamformer", "no_metrics",
-        "unknown_mode", "boolean", "no_section", "malformed", "duplicate_key",
-        "no_section_header", "duplicate_section", "no_rows", "csv_header", "rho",
+], ids=["system_size", "built_invalid", "empty_grid", "node_count", "oma_beamformer",
+        "no_metrics", "unknown_mode", "boolean", "boolean_flag", "no_section", "malformed",
+        "duplicate_key", "no_section_header", "duplicate_section", "no_rows", "csv_header", "rho",
         "tiny_rate", "no_antenna"])
 def test_invalid_input_is_rejected_before_anything_is_written(tmp_path, capsys, call, error,
                                                               message):
@@ -445,6 +449,61 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys, key):
     assert main(["--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# key, flags that set it, the same value as a config file's text
+_OVERRIDES = [
+    ("m", ["--m", "4"], "4"), ("k", ["--k", "5"], "5"), ("r_m", ["--r-m", "0.5"], "0.5"),
+    ("r_u", ["--r-u", "3.5"], "3.5"), ("r_s", ["--r-s", "1.5"], "1.5"),
+    ("snr_db", ["--snr", "0:20:5"], "0:20:5"), ("na", ["--na", "32"], "32"),
+    ("metrics", ["--metric", "unicast_outage", "--metric", "multicast_outage"],
+     "unicast_outage, multicast_outage"),
+    ("scheduling", ["--scheduling", "yes"], "yes"),
+    ("oma_beamformer", ["--oma-beamformer", "equal"], "equal"),
+    ("samples", ["--samples", "777"], "777"), ("seed", ["--seed", "99"], "99"),
+]
+
+
+@pytest.mark.parametrize("key, flags, text", _OVERRIDES, ids=[o[0] for o in _OVERRIDES])
+def test_flag_override_reads_its_value_as_the_config_key_does(tmp_path, key, flags, text):
+    """A flag applied to a config-loaded scenario gives the scenario of a config
+    file that sets its key to the same text, ``--scheduling yes`` included."""
+    texts = {"m": "2", "k": "3", "r_m": "1", "r_u": "2", "snr_db": "10",
+             "metrics": "unicast_outage"}
+    base, keyed = tmp_path / "base" / "s.cfg", tmp_path / "keyed" / "s.cfg"  # one stem
+    for path, keys in ((base, texts), (keyed, {**texts, key: text})):
+        path.parent.mkdir()
+        path.write_text("[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    loaded = load_scenario_file(base)
+    args = cli.build_parser().parse_args(["--config", str(base), *flags])
+    assert cli._apply_overrides(loaded, args) == load_scenario_file(keyed) != loaded
+
+
+def test_every_config_key_but_the_name_has_one_flag():
+    flag_keys = {action.dest for action in cli.build_parser()._actions} & set(cli._KEYS)
+    assert flag_keys == {key for key, _, _ in _OVERRIDES} == set(cli._KEYS) - {"name"}
+
+
+def test_readme_lists_the_config_keys_and_the_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = re.search(r"Keys, in order: (.*?)\.", readme, flags=re.S).group(1)
+    assert re.findall(r"`(\w+)`", keys) == list(cli._KEYS)
+    flags = re.search(r"\nFlags: (.*?)\n\n", readme, flags=re.S).group(1)
+    options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", flags)) == options - {"-h", "--help"}
+
+
+def test_report_labels_each_snr_point_as_the_csvs_do(tmp_path):
+    """Points that round alike to one decimal get their own report lines, and
+    -0.0 is written as 0."""
+    assert main(["--scenario", "fig1", "--snr=-0,16.01,16.04", "--samples", "2000",
+                 "--out", str(tmp_path)]) == 0
+    lines = [line.strip() for line in (tmp_path / "fig1_report.txt").read_text().splitlines()]
+    for label in ("0", "16.01", "16.04"):
+        assert sum(line.startswith(f"{label} dB  ") for line in lines) == 3  # 2 rows, 1 gap
+    csv_text = (tmp_path / "fig1_unicast_outage.csv").read_text()
+    assert [line.split(",")[0] for line in csv_text.splitlines()[1:]] == [
+        "0", "0", "16.01", "16.01", "16.04", "16.04"]
 
 
 def test_main_unknown_scenario_exit_code(tmp_path, capsys):
