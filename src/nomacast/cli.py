@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ import numpy as np
 from . import analysis
 from .montecarlo import (BEAMFORMER_KINDS, CLOSED_FORMS, MRT, Estimate, MetricKind,
                          SimulationPlan, analytic_estimate, derive_estimate, estimate_many,
-                         source_metric, analytic_value)  # perfbench reads cli.analytic_value
+                         source_metric, split_oma_law, analytic_value)  # the last for perfbench
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -235,9 +236,11 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
             for snr_db in grid]
     mcs = [{}] * len(cfgs)
     if mode != "analytic":  # every point reuses windows [0, samples): one pass, one pool
-        mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), SimulationPlan(
-            scenario.samples, scenario.seed, scenario.scheduling, scenario.oma_beamformer,
-            workers), stream_base=0)
+        plan = SimulationPlan(scenario.samples, scenario.seed, scenario.scheduling,
+                              scenario.oma_beamformer, workers)
+        mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), plan)
+        if split_oma_law(scenario.metrics, scenario.m, plan):  # the report says which law
+            report.notes.append("OMA gains drawn as the M = 1 system: no paired metric requested")
     kinds = () if mode == "mc" else dict.fromkeys(map(source_metric, scenario.metrics))
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):
         closed = {}  # the closed form of each probability kind, once per point
@@ -378,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nomacast",
         description="Link-level NOMA multicast/unicast simulator and "
                     "outage calculator")
+    parser._negative_number_matcher = re.compile(r"-\.?\d")  # --snr -5:10:5 is a value
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario", help="preset name (fig1..fig5)")
     source.add_argument("--config", help="path to a scenario config file")

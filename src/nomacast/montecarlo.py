@@ -14,8 +14,8 @@ A chunk is one pass from Philox to its moments: ``_BLOCK`` windows at a time
 are drawn into one reused workspace and turned into gains in place, and the
 kernel reduces ``_KBLOCK`` windows at a time, with the bits of one whole draw.
 
-Every plan draws the effective gains from their exact joint law, without
-building a channel matrix (see :func:`_sample_gains`).
+Every plan draws its gains without a channel matrix (see :func:`_sample_gains`),
+from their exact joint law, or each triple from its own (:func:`split_oma_law`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from . import analysis, transmission as tx
-from .rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, fill_uniform, window_generator
+from .rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, DOMAIN_SPLIT, fill_uniform, window_generator
 from .transmission import RATE_EQ_GUARD, LinkConfig
 
 _CHUNK = 1 << 16
@@ -143,10 +143,13 @@ def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
     rest) a user's squared coordinates are a, b ~ Exp(1) and a Gamma(M-2)
     remainder with a uniform relative phase; the unicast user's a is its OMA
     gain, so |c|^2 = a_sel / z1 ~ Beta(1, M-1) for an equal-gain or random
-    beam alike.  Window layouts: unscheduled MRT, z1's m uniforms, then u's
-    and v's words; scheduled, m rows of k exponentials (a, b, remainders)
-    then k phases; otherwise z1's m exponentials, the others' a and b, then
-    k - 1 phases.
+    beam alike.  Unscheduled, its OMA gains are then i.i.d. Exp(1), so the
+    split law draws them as the M = 1 MRT triple, apart from the MRT triple:
+    only each triple's law is exact (the joint law has z1_oma <= z1).  Window
+    layouts: unscheduled MRT, z1's m uniforms, then u's and v's words; split,
+    that of m then that of M = 1; scheduled, m rows of k exponentials (a, b,
+    remainders) then k phases; otherwise z1's m exponentials, the others' a
+    and b, then k - 1 phases.
     """
     if not scheduling and mrt:
         z = w[:, :m]
@@ -184,13 +187,15 @@ def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
     return (z1, *_min_max(others), a_sel, *_min_max(others_oma))
 
 
-def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int, step: int):
+def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int, step: int,
+                  split: bool = False):
     """The gains of windows [first, first + n) (see _block_gains) as successive
     (6, <= step) views of one buffer, each valid until the next is drawn.  One
     generator draws the windows in turn (a window's words follow the previous
     one's) into one reused workspace of _BLOCK windows."""
-    mrt = plan.oma_beamformer == MRT or m == 1
-    domain, width = ((DOMAIN_GAINS, k * m + (0 if mrt else k)) if plan.scheduling else
+    mrt = plan.oma_beamformer == MRT or m == 1 or split
+    domain, width = ((DOMAIN_SPLIT, m + 5) if split else
+                     (DOMAIN_GAINS, k * m + (0 if mrt else k)) if plan.scheduling else
                      (DOMAIN_GAIN_STATS, m + 2) if mrt else (DOMAIN_GAINS, m + 3 * (k - 1)))
     gen = window_generator(plan.seed, domain, first, width)
     ws, gains = np.empty((min(_BLOCK, n), -(-width // 4) * 4)), np.empty((6, min(step, n)))
@@ -199,6 +204,8 @@ def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int, step
         for r in range(0, nk, _BLOCK):
             w = fill_uniform(gen, ws[:min(_BLOCK, nk - r)])
             gains[:, r:r + len(w)] = _block_gains(w, m, k, mrt, plan.scheduling)
+            if split:  # the OMA triple as M = 1, from the last 3 words (see _block_gains)
+                gains[3:, r:r + len(w)] = _block_gains(w[:, m + 2:], 1, k, True, False)[:3]
         yield gains[:, :nk]
 
 
@@ -239,7 +246,7 @@ class _Outcomes:
 
 
 # field name -> its per-realization value: a float for a ``mean_*`` name, else
-# an event indicator.
+# an event indicator.  The _PAIRED fields read both beams' gains (their joint law).
 _FIELD_OF = {
     "multicast_outage": lambda o: o.gmin < o.cfg.eps_m / o.cfg.rho,
     "unicast_outage": lambda o: o.z1 * o.alpha_u2 < o.cfg.eps_u / o.cfg.rho,
@@ -257,6 +264,7 @@ _FIELD_OF = {
     "secrecy_violation": lambda o: o.rs_noma - o.rs_oma < -RATE_EQ_GUARD,
 }
 _FIELDS = tuple(_FIELD_OF)
+_PAIRED = frozenset({"noma_trails_oma", "secrecy_violation", "mean_secrecy_gap"})
 
 
 def source_metric(metric: MetricKind) -> MetricKind:
@@ -285,21 +293,21 @@ def _chunk_moments(args):
     """Moments of the named fields over window indices [lo, hi) at every config,
     summed over kernel blocks of _KBLOCK windows as each is drawn: exact for
     indicator counts.  A ``mean_*`` float sum keeps its whole-chunk rounding."""
-    cfgs, fields, m, k, plan, base, lo, hi = args
+    cfgs, fields, m, k, plan, base, lo, hi, split = args
     n = hi - lo
     step = n if any(name.startswith("mean_") for name in fields) else _KBLOCK
     sums = sumsqs = np.zeros((len(cfgs), len(fields)))
-    for gains in _sample_gains(m, k, plan, base + lo, n, step):
+    for gains in _sample_gains(m, k, plan, base + lo, n, step, split):
         _, block_sums, block_sumsqs = _gain_moments(cfgs, fields, *gains)
         sums, sumsqs = sums + block_sums, sumsqs + block_sumsqs
     return n, sums, sumsqs
 
 
-def _chunk_results(cfgs, fields, m: int, k: int, plan: SimulationPlan, base: int):
+def _chunk_results(cfgs, fields, m: int, k: int, plan: SimulationPlan, base: int, split):
     """(n, sums, sumsqs) of each _CHUNK-window chunk, in chunk order, built and
     evaluated lazily: with several workers and chunks, in one pool (at most
     one worker per chunk) 2 * workers chunks at a time, so memory stays flat."""
-    chunks = ((cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples))
+    chunks = ((cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples), split)
               for lo in range(0, plan.samples, _CHUNK))
     workers = min(plan.workers, -(-plan.samples // _CHUNK))
     if workers == 1:
@@ -353,17 +361,25 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m, k, na, scheduling=Fal
     return getattr(analytic_estimate(metric, cfg, m, k, na, scheduling), "value", None)
 
 
+def split_oma_law(metrics, m: int, plan: SimulationPlan) -> bool:
+    """Whether estimate_many draws the OMA gains as the M = 1 system (the split law
+    of _block_gains): unscheduled, a non-MRT beam with M > 1 and no _PAIRED field."""
+    return (not plan.scheduling and plan.oma_beamformer != MRT and m > 1
+            and _PAIRED.isdisjoint(source_metric(x).value for x in metrics))
+
+
 def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int = 0):
     """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all from
     one shared set of realizations.  Deterministic for fixed (seed, samples,
-    scheduling, beamformer) regardless of worker count: realization ``i``
-    always consumes counter window ``stream_base + i``."""
+    scheduling, beamformer, law picked by split_oma_law) for any worker count:
+    realization ``i`` always consumes counter window ``stream_base + i``."""
     cfgs = list(cfgs)
     fields = tuple(dict.fromkeys(source_metric(metric).value for metric in metrics))
     analysis._check_size(*system)
     zero = np.zeros((len(cfgs), len(fields)))
     n, sums, sumsqs = 0, zero, zero
-    for chunk in _chunk_results(cfgs, fields, *system, plan, stream_base):  # in order: exact
+    split = split_oma_law(metrics, system[0], plan)
+    for chunk in _chunk_results(cfgs, fields, *system, plan, stream_base, split):  # exact order
         n, sums, sumsqs = n + chunk[0], sums + chunk[1], sumsqs + chunk[2]
     estimates = [_field_estimates(fields, n, s, q) for s, q in zip(sums, sumsqs)]
     return [{metric: derive_estimate(metric, cfg, est[source_metric(metric).value])

@@ -15,12 +15,13 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Key domains for the Monte Carlo window streams, kept far away from small
-# stream ids.  DOMAIN_GAIN_STATS serves unscheduled MRT runs, DOMAIN_GAINS
-# every other plan.  1 << 32 keyed the retired M + K - 1 exponential layout
-# of unscheduled MRT runs and (1 << 32) + 1 keys the tests' channel-matrix
-# oracle; neither is reused, so the engine's draws stay independent of both.
+# stream ids: DOMAIN_GAIN_STATS for unscheduled MRT runs, DOMAIN_SPLIT for the
+# split law (montecarlo.split_oma_law: each triple's own law is exact, not their
+# joint law), DOMAIN_GAINS for every other plan.  1 << 32 keyed the retired
+# M + K - 1 layout and (1 << 32) + 1 keys the tests' oracle; neither is reused.
 DOMAIN_GAINS = (1 << 32) + 2
 DOMAIN_GAIN_STATS = (1 << 32) + 3
+DOMAIN_SPLIT = (1 << 32) + 4
 
 
 def _key(seed: int, word: int) -> np.ndarray:

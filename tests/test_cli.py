@@ -506,6 +506,40 @@ def test_report_labels_each_snr_point_as_the_csvs_do(tmp_path):
         "0", "0", "16.01", "16.01", "16.04", "16.04"]
 
 
+@pytest.mark.parametrize("grid", ["-5:10:5", "-0,16"], ids=["range", "list"])
+def test_snr_grid_that_starts_with_a_minus_sign_is_a_value(tmp_path, capsys, grid):
+    """``--snr GRID`` reads a grid with a leading minus sign as ``--snr=GRID``
+    does, output for output."""
+    assert cli.build_parser().parse_args(["--scenario", "fig1", "--snr", grid]).snr_db == grid
+    for out, flags in (("spaced", ["--snr", grid]), ("joined", [f"--snr={grid}"])):
+        assert main(["--scenario", "fig1", "--mode", "analytic", *flags,
+                     "--out", str(tmp_path / out)]) == 0
+    assert capsys.readouterr().err == ""
+    joined = sorted((tmp_path / "joined").iterdir())
+    assert [p.name for p in sorted((tmp_path / "spaced").iterdir())] == [p.name for p in joined]
+    for path in joined:
+        assert (tmp_path / "spaced" / path.name).read_bytes() == path.read_bytes()
+
+
+_SPLIT_NOTE = "note: OMA gains drawn as the M = 1 system: no paired metric requested"
+
+
+def test_report_says_when_oma_gains_are_drawn_as_the_single_antenna_system(tmp_path):
+    """fig3's equal and random variants, which ask for no paired metric, say in
+    their report that their OMA gains follow the M = 1 law; fig3_mrt, a run
+    with a paired metric and an analytic run do not, and no CSV carries it."""
+    def reports(name, *flags):
+        assert main(["--scenario", "fig3", *flags, "--samples", "2000", "--snr", "20",
+                     "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "fig3_report.txt").read_text().split("\n\n")
+    assert [_SPLIT_NOTE in r for r in reports("mc", "--mode", "mc")] == [False, True, True]
+    paired = reports("paired", "--mode", "mc", "--metric", "unicast_outage_oma",
+                     "--metric", "noma_trails_oma")
+    assert len(paired) == 3 and not any(_SPLIT_NOTE in r for r in paired)
+    assert not any(_SPLIT_NOTE in r for r in reports("analytic", "--mode", "analytic"))
+    assert not any("OMA gains" in p.read_text() for p in tmp_path.rglob("*.csv"))
+
+
 def test_main_unknown_scenario_exit_code(tmp_path, capsys):
     code = main(["--scenario", "fig99", "--out", str(tmp_path)])
     assert code == 2

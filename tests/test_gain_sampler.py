@@ -3,8 +3,9 @@
 For each plan the engine's gains and the oracle's gains (independent
 streams, fixed seeds) are compared on z1, u, v, their OMA counterparts and
 z1 - v: a two-sample Kolmogorov-Smirnov test, and the means and variances
-within four combined standard errors.  A property test checks the
-invariants every draw must satisfy.
+within four combined standard errors.  The split law's two triples are
+compared with the oracle and with the one-beam draws whose law each should
+have.  A property test checks the invariants every draw must satisfy.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from scipy import stats
 
 from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
 from nomacast import montecarlo
-from nomacast.montecarlo import BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
+from nomacast.montecarlo import (BEAMFORMER_KINDS, EQUAL_GAIN, MRT, RANDOM, SimulationPlan,
+                                 split_oma_law)
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, DOMAIN_SPLIT
 from rng_stream import bits_to_uniform, window_bits
 from window_oracle import sample_gains
 
@@ -42,14 +44,15 @@ CASES = {
 
 
 def test_key_domains_are_distinct():
-    """The engine's two layouts, the retired M + K - 1 layout (1 << 32) and the
+    """The engine's three layouts, the retired M + K - 1 layout (1 << 32) and the
     oracle each have their own Philox key, so no two share draws."""
-    assert len({DOMAIN_GAIN_STATS, DOMAIN_GAINS, 1 << 32, DOMAIN_FULL_MATRIX}) == 4
+    domains = {DOMAIN_GAIN_STATS, DOMAIN_GAINS, DOMAIN_SPLIT, 1 << 32, DOMAIN_FULL_MATRIX}
+    assert len(domains) == 5
 
 
-def _engine_gains(m, k, scheduling, beamformer, seed, n, chunk=1 << 14):
+def _engine_gains(m, k, scheduling, beamformer, seed, n, chunk=1 << 14, split=False):
     plan = SimulationPlan(n, seed, scheduling, beamformer)
-    parts = [sample_gains(m, k, plan, lo, min(chunk, n - lo))
+    parts = [sample_gains(m, k, plan, lo, min(chunk, n - lo), split)
              for lo in range(0, n, chunk)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -87,6 +90,24 @@ def test_gain_moments_match_oracle(samples):
         mean_b, var_b, se_mean_b, se_var_b = _mean_var_se(oracle[name])
         assert abs(mean_a - mean_b) <= SIGMAS * np.hypot(se_mean_a, se_mean_b), name
         assert abs(var_a - var_b) <= SIGMAS * np.hypot(se_var_a, se_var_b), name
+
+
+@pytest.mark.parametrize("m, k, beamformer", [(10, 11, RANDOM), (10, 11, EQUAL_GAIN),
+                                               (2, 3, RANDOM)])
+def test_split_triples_have_their_joint_law_marginals(m, k, beamformer):
+    """Under the split law the OMA triple has the oracle's OMA marginals and
+    those of an M = 1 MRT draw, and the MRT triple and z1 - v those of an
+    unscheduled MRT draw at the same M (KS, independent streams)."""
+    split = _statistics(*_engine_gains(m, k, False, beamformer, SEED, N, split=True))
+    oracle = _statistics(*full_matrix_gains(m, k, False, beamformer, SEED + 1, N))
+    single = _statistics(*_engine_gains(1, k, False, MRT, SEED + 2, N))
+    mrt = _statistics(*_engine_gains(m, k, False, MRT, SEED + 3, N))
+    pairs = [(name, oracle[name]) for name in ("z1_oma", "u_oma", "v_oma")]
+    pairs += [(name + "_oma", single[name]) for name in ("z1", "u", "v")]
+    pairs += [(name, mrt[name]) for name in ("z1", "u", "v", "z1-v")]
+    pvalues = {(name, i): stats.ks_2samp(split[name], ref).pvalue
+               for i, (name, ref) in enumerate(pairs)}
+    assert min(pvalues.values()) >= KS_MIN_P, pvalues
 
 
 def test_equal_gain_and_random_beams_share_one_sampler():
@@ -137,17 +158,22 @@ def test_unicast_gain_beyond_one_product_of_uniforms():
     assert stats.kstest(z1, stats.gamma(m).cdf).pvalue >= KS_MIN_P
 
 
-@settings(derandomize=True, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(m=st.sampled_from([1, 2, 10, 40]), k=st.sampled_from([2, 3, 11]),
        scheduling=st.booleans(), beamformer=st.sampled_from(BEAMFORMER_KINDS),
-       seed=st.integers(0, (1 << 64) - 1), first=st.integers(0, 1 << 40),
-       n=st.integers(1, 40), cut=st.integers(0, 40))
-def test_sampled_gains_properties(m, k, scheduling, beamformer, seed, first, n, cut):
-    """Every plan gives six finite positive 1-D arrays with u <= v under both
-    beams, z1 >= u under scheduling, u = v at K = 2, and the same bits for any
-    split of the window range."""
+       split=st.booleans(), seed=st.integers(0, (1 << 64) - 1),
+       first=st.integers(0, 1 << 40), n=st.integers(1, 40), cut=st.integers(0, 40))
+def test_sampled_gains_properties(m, k, scheduling, beamformer, split, seed, first, n, cut):
+    """Every plan, under the joint law and (where it applies) the split law,
+    gives six finite positive 1-D arrays with u <= v under both beams,
+    z1 >= u under scheduling, u = v at K = 2, and the same bits for any split
+    of the window range.  z1_oma <= z1 holds under the joint law only, so it
+    is not asserted."""
+    if split:  # a plan that draws the split law: unscheduled, a non-MRT beam, M > 1
+        scheduling, beamformer, m = False, RANDOM if beamformer == MRT else beamformer, max(m, 2)
     plan = SimulationPlan(n, seed, scheduling, beamformer)
-    gains = sample_gains(m, k, plan, first, n)
+    assert not split or split_oma_law((), m, plan)
+    gains = sample_gains(m, k, plan, first, n, split)
     z1, u, v, z1_oma, u_oma, v_oma = gains
     for x in gains:
         assert x.shape == (n,) and np.all(np.isfinite(x)) and np.all(x > 0)
@@ -157,7 +183,7 @@ def test_sampled_gains_properties(m, k, scheduling, beamformer, seed, first, n, 
     if k == 2:
         assert np.array_equal(u, v) and np.array_equal(u_oma, v_oma)
     cut = min(cut, n)
-    parts = zip(sample_gains(m, k, plan, first, cut),
-                sample_gains(m, k, plan, first + cut, n - cut))
+    parts = zip(sample_gains(m, k, plan, first, cut, split),
+                sample_gains(m, k, plan, first + cut, n - cut, split))
     for whole, (head, tail) in zip(gains, parts):
         assert np.array_equal(np.concatenate([head, tail]), whole)

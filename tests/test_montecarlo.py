@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
-from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, EQUAL_GAIN, MRT, OUTAGE_RATE_OF,
-                                 RANDOM, MetricKind, SimulationPlan, _chunk_moments, _FIELD_OF,
-                                 _FIELDS, _field_estimates, _gain_moments, _Outcomes,
-                                 _sample_gains, derive_estimate, estimate_many, source_metric)
+from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, _PAIRED, EQUAL_GAIN, MRT,
+                                 OUTAGE_RATE_OF, RANDOM, MetricKind, SimulationPlan,
+                                 _chunk_moments, _FIELD_OF, _FIELDS, _field_estimates,
+                                 _gain_moments, _Outcomes, _sample_gains, derive_estimate,
+                                 estimate_many, source_metric, split_oma_law)
 from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
 from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
@@ -308,7 +309,7 @@ def _oracle_moments(cfg, realizations):
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
-    n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, plan, 0, 0, plan.samples))
+    n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, plan, 0, 0, plan.samples, False))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
@@ -392,7 +393,7 @@ def test_chunk_moments_leave_no_reference_cycles(plan):
     gc.disable()
     try:
         _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5, plan, 0, 0,
-                        plan.samples))
+                        plan.samples, False))
     finally:
         gc.enable()
     assert gc.collect() == 0
@@ -403,27 +404,30 @@ _BLOCK_CFGS = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)
 _ACROSS_BLOCKS = 3 * _BLOCK + 77  # three whole blocks and a partial one
 
 
-@pytest.mark.parametrize("system, plan, n", [
-    ((10, 11), SimulationPlan(1, seed=71), _ACROSS_BLOCKS),
-    ((40, 11), SimulationPlan(1, seed=72), _ACROSS_BLOCKS),
-    ((3, 2), SimulationPlan(1, seed=73), _ACROSS_BLOCKS),
-    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), _ACROSS_BLOCKS),
-    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), _ACROSS_BLOCKS),
+@pytest.mark.parametrize("system, plan, n, split", [
+    ((10, 11), SimulationPlan(1, seed=71), _ACROSS_BLOCKS, False),
+    ((40, 11), SimulationPlan(1, seed=72), _ACROSS_BLOCKS, False),
+    ((3, 2), SimulationPlan(1, seed=73), _ACROSS_BLOCKS, False),
+    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), _ACROSS_BLOCKS, False),
+    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), _ACROSS_BLOCKS, False),
     ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN),
-     _ACROSS_BLOCKS),
-    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), _ACROSS_BLOCKS),
-    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), 300),
+     _ACROSS_BLOCKS, False),
+    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), _ACROSS_BLOCKS, False),
+    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), 300,
+     False),
+    ((10, 11), SimulationPlan(1, seed=82, oma_beamformer=RANDOM), _ACROSS_BLOCKS, True),
+    ((40, 2), SimulationPlan(1, seed=83, oma_beamformer=EQUAL_GAIN), 300, True),
 ], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
-        "below_one_block"])
-def test_blocked_chunk_equals_one_whole_range_draw(system, plan, n):
+        "below_one_block", "split", "split_m40_k2"])
+def test_blocked_chunk_equals_one_whole_range_draw(system, plan, n, split):
     """A chunk drawn in _BLOCK-window blocks gives every field's sums and squares
     bit for bit as one draw of its whole window range, from a nonzero first
     window, so the float sums of the ``mean_*`` fields are pinned too."""
     m, k = system
     base, lo = 5, 1000
-    blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, plan, base, lo, lo + n))
+    blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, plan, base, lo, lo + n, split))
     n_whole, sums, sumsqs = _gain_moments(_BLOCK_CFGS, _FIELDS,
-                                          *sample_gains(m, k, plan, base + lo, n))
+                                          *sample_gains(m, k, plan, base + lo, n, split))
     assert blocked[0] == n_whole == n
     assert np.array_equal(blocked[1], sums) and np.array_equal(blocked[2], sumsqs)
 
@@ -439,7 +443,7 @@ def test_chunk_sampling_memory_stays_blocked():
     tracemalloc.start()
     try:
         _chunk_moments((cfgs, ("unicast_outage", "secrecy_outage"), 10, 11, plan, 0, 0,
-                        _CHUNK))
+                        _CHUNK, False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,19 +455,22 @@ _INDICATORS = tuple(name for name in _FIELDS if not name.startswith("mean_"))
 
 @pytest.mark.parametrize("n", [_KBLOCK + 3 * _BLOCK + 77, 300],
                          ids=["across_kernel_blocks", "below_one_block"])
-@pytest.mark.parametrize("system, plan", [
-    ((10, 11), SimulationPlan(1, seed=71)),
-    ((40, 11), SimulationPlan(1, seed=72)),
-    ((3, 2), SimulationPlan(1, seed=73)),
-    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM)),
-    ((2, 11), SimulationPlan(1, seed=75, scheduling=True)),
-    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN)),
-    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM)),
-    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM)),
-    ((10, 11), SimulationPlan(1, seed=80, scheduling=True)),
+@pytest.mark.parametrize("system, plan, split", [
+    ((10, 11), SimulationPlan(1, seed=71), False),
+    ((40, 11), SimulationPlan(1, seed=72), False),
+    ((3, 2), SimulationPlan(1, seed=73), False),
+    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), False),
+    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), False),
+    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN), False),
+    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), False),
+    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), False),
+    ((10, 11), SimulationPlan(1, seed=80, scheduling=True), False),
+    ((10, 11), SimulationPlan(1, seed=84, oma_beamformer=RANDOM), True),
+    ((40, 11), SimulationPlan(1, seed=85, oma_beamformer=EQUAL_GAIN), True),
+    ((2, 2), SimulationPlan(1, seed=86, oma_beamformer=RANDOM), True),
 ], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
-        "sched_random", "fig5_sched"])
-def test_sampler_matches_the_window_oracle(system, plan, n):
+        "sched_random", "fig5_sched", "split", "split_m40", "split_k2"])
+def test_sampler_matches_the_window_oracle(system, plan, split, n):
     """The one pass from Philox to the gains (one generator and one reused
     workspace per call, uniforms and exponentials made in place) gives the
     six gains of window_bits' words bit for bit, whether drawn as one block
@@ -471,17 +478,18 @@ def test_sampler_matches_the_window_oracle(system, plan, n):
     sums and squares over the oracle's gains: from a nonzero first window,
     over a range that is not a multiple of _KBLOCK and over one below
     _BLOCK, for indicator fields alone (summed per kernel block) and with
-    the ``mean_*`` fields (one block per chunk)."""
+    the ``mean_*`` fields (one block per chunk), in the joint and the split
+    (m + 5 word) layout."""
     m, k = system
     base, lo = 5, 1000
-    expected = [np.asarray(g) for g in window_gains(m, k, plan, base + lo, n)]
+    expected = [np.asarray(g) for g in window_gains(m, k, plan, base + lo, n, split)]
     kernel_blocks = np.concatenate(
-        [g.copy() for g in _sample_gains(m, k, plan, base + lo, n, _KBLOCK)], axis=1)
-    for drawn in (sample_gains(m, k, plan, base + lo, n), kernel_blocks):
+        [g.copy() for g in _sample_gains(m, k, plan, base + lo, n, _KBLOCK, split)], axis=1)
+    for drawn in (sample_gains(m, k, plan, base + lo, n, split), kernel_blocks):
         for got, want in zip(drawn, expected):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for fields in (_INDICATORS, _FIELDS):
-        chunk = _chunk_moments((_BLOCK_CFGS, fields, m, k, plan, base, lo, lo + n))
+        chunk = _chunk_moments((_BLOCK_CFGS, fields, m, k, plan, base, lo, lo + n, split))
         whole = _gain_moments(_BLOCK_CFGS, fields, *expected)
         assert chunk[0] == whole[0] == n
         assert np.array_equal(chunk[1], whole[1]) and np.array_equal(chunk[2], whole[2])
@@ -503,7 +511,7 @@ def test_chunk_peak_memory_is_a_few_blocks(scheduling, step_db, metrics, bound):
             for db in range(0, 41, step_db)]
     tracemalloc.start()
     try:
-        _chunk_moments((cfgs, metrics, 10, 11, plan, 0, 0, _CHUNK))
+        _chunk_moments((cfgs, metrics, 10, 11, plan, 0, 0, _CHUNK, False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -669,3 +677,101 @@ def test_rejects_too_few_users():
     metric = MetricKind.UNICAST_OUTAGE
     with pytest.raises(ValueError):
         estimate_many([metric], [CFG], (2, 1), SimulationPlan(10, seed=1))[0][metric]
+
+
+def test_paired_fields_are_the_fields_that_read_both_beams():
+    """_PAIRED holds exactly the fields whose value reads a gain of the MRT triple
+    and one of the OMA triple, seen by recording the attributes each field's
+    lambda touches (the cached rates read the gains in turn)."""
+    class Recording(_Outcomes):
+        def __init__(self, *args):
+            self.read = set()
+            super().__init__(*args)
+
+        def __getattribute__(self, name):
+            object.__getattribute__(self, "read").add(name)
+            return object.__getattribute__(self, name)
+
+    gains = [np.array([0.5, 3.0, 40.0])] * 6
+    both = set()
+    for name, field in _FIELD_OF.items():
+        outcomes = Recording(CFG, *gains)
+        field(outcomes)
+        reads_mrt = bool(outcomes.read & {"z1", "v", "gmin"})
+        reads_oma = bool(outcomes.read & {"z1_oma", "v_oma", "gmin_oma"})
+        assert reads_mrt or reads_oma, name
+        if reads_mrt and reads_oma:
+            both.add(name)
+    assert both == _PAIRED
+
+
+def test_the_gain_law_is_chosen_from_the_plan_and_the_metrics():
+    """Only an unscheduled run with a non-MRT beam, M > 1 and no paired metric
+    draws the split law; an outage rate reads its probability's field."""
+    rates = (MetricKind.OUTAGE_RATE_UNICAST, MetricKind.OUTAGE_RATE_UNICAST_OMA)
+    random, equal = (SimulationPlan(1, 1, oma_beamformer=kind) for kind in (RANDOM, EQUAL_GAIN))
+    assert split_oma_law(rates, 10, random) and split_oma_law(rates, 2, equal)
+    assert split_oma_law([m for m in MetricKind if source_metric(m).value not in _PAIRED],
+                         10, random)
+    for paired in (MetricKind.NOMA_TRAILS_OMA, MetricKind.SECRECY_VIOLATION,
+                   MetricKind.MEAN_SECRECY_GAP):
+        assert not split_oma_law(rates + (paired,), 10, random), paired
+    assert not split_oma_law(rates, 1, random)
+    assert not split_oma_law(rates, 10, SimulationPlan(1, 1))
+    assert not split_oma_law(rates, 10, SimulationPlan(1, 1, True, RANDOM))
+
+
+def test_paired_metric_keeps_the_joint_windows():
+    """A fig3_random-shaped run that also asks for noma_trails_oma draws the joint
+    law, value for value as recorded before the split law existed; without the
+    paired metric the same run draws the split windows."""
+    cfg = LinkConfig(10.0 ** 2.0, r_m=1.0, r_u=6.0)
+    plan = SimulationPlan(20_000, seed=2024, oma_beamformer=RANDOM)
+    oma = (MetricKind.UNICAST_OUTAGE_OMA, MetricKind.MEAN_OMA_UNICAST_RATE)
+    [joint] = estimate_many(oma + (MetricKind.NOMA_TRAILS_OMA,), [cfg], (10, 11), plan,
+                            stream_base=3)
+    assert joint[MetricKind.UNICAST_OUTAGE_OMA].value == 0.9623
+    assert joint[MetricKind.UNICAST_OUTAGE_OMA].stderr == 0.001346857899449702
+    assert joint[MetricKind.NOMA_TRAILS_OMA].value == 0.0955
+    assert joint[MetricKind.NOMA_TRAILS_OMA].stderr == 0.0020782693425475457
+    assert joint[MetricKind.MEAN_OMA_UNICAST_RATE].value == 3.3199774294524165
+    assert joint[MetricKind.MEAN_OMA_UNICAST_RATE].stderr == 0.012755439730379467
+    [split] = estimate_many(oma, [cfg], (10, 11), plan, stream_base=3)
+    assert split[MetricKind.MEAN_OMA_UNICAST_RATE].value != 3.3199774294524165
+
+
+def test_split_runs_are_bit_identical_for_any_workers_and_chunking():
+    """A split run (70k samples: two chunks) gives the same estimates at workers
+    1 and 2, and its counts are those of any cut of its window range."""
+    plan = SimulationPlan(70_000, seed=87, oma_beamformer=EQUAL_GAIN)
+    metrics = [m for m in MetricKind if source_metric(m).value not in _PAIRED]
+    cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (8.0, 20.0, 32.0)]
+    assert split_oma_law(metrics, 10, plan)
+    one = estimate_many(metrics, cfgs, (10, 11), plan)
+    assert one == estimate_many(metrics, cfgs, (10, 11), replace(plan, workers=2))
+    fields = tuple(name for name in _INDICATORS if name not in _PAIRED)
+    cuts = [0, 1, 4099, 40_000, plan.samples]
+    counts = sum(_chunk_moments((cfgs, fields, 10, 11, plan, 0, lo, hi, True))[1]
+                 for lo, hi in zip(cuts, cuts[1:]))
+    for point, row in zip(one, counts):
+        for name, count in zip(fields, row):
+            assert point[MetricKind(name)].value == count / plan.samples, name
+
+
+def test_split_oma_metrics_match_the_single_antenna_system():
+    """The OMA metrics of an unscheduled random beam have no closed form, but
+    its OMA gains have the law of the M = 1 MRT system's: on the fig1 grid at
+    2^18 draws, fig3_random's OMA outages agree with M = 1's and its NOMA
+    unicast outage with fig3_mrt's, within 4 combined standard errors."""
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m=1.0, r_u=6.0) for db in range(0, 41, 4)]
+    oma = (MetricKind.UNICAST_OUTAGE_OMA, MetricKind.SECRECY_OUTAGE_OMA)
+    noma = (MetricKind.UNICAST_OUTAGE,)
+    plan = SimulationPlan(1 << 18, seed=88, oma_beamformer=RANDOM)
+    assert split_oma_law(noma + oma, 10, plan)
+    random = estimate_many(noma + oma, cfgs, (10, 11), plan)
+    single = estimate_many(oma, cfgs, (1, 11), SimulationPlan(1 << 18, seed=89))
+    mrt = estimate_many(noma, cfgs, (10, 11), SimulationPlan(1 << 18, seed=90))
+    for point, *refs in zip(random, single, mrt):
+        for metric, ref in [(m, refs[0]) for m in oma] + [(noma[0], refs[1])]:
+            combined = math.hypot(point[metric].stderr, ref[metric].stderr)
+            assert abs(point[metric].value - ref[metric].value) <= 4 * combined, metric

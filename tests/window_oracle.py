@@ -5,8 +5,8 @@ definition in ``rng_stream``, maps it with ``bits_to_uniform`` and
 ``bits_to_exponential`` and assembles the six gains with whole-array
 operations.  The engine draws the same uniforms in place, a block at a time
 (``nomacast.montecarlo._sample_gains``); the two must agree bit for bit.
-The law behind each window layout is described in
-``nomacast.montecarlo._block_gains``.
+The law behind each window layout, the split one (``split``) included, is
+described in ``nomacast.montecarlo._block_gains``.
 
 :func:`sample_gains` is the engine's sampler over a whole window range, as
 one block.
@@ -17,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from nomacast.montecarlo import MRT, _sample_gains
-from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
+from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS, DOMAIN_SPLIT
 from rng_stream import bits_to_exponential, bits_to_uniform, window_bits
 
 
-def sample_gains(m: int, k: int, plan, first: int, n: int) -> np.ndarray:
+def sample_gains(m: int, k: int, plan, first: int, n: int, split=False) -> np.ndarray:
     """The engine's (z1, u, v, z1_oma, u_oma, v_oma) for windows [first, first + n),
     as the rows of one (6, n) array."""
-    return next(_sample_gains(m, k, plan, first, n, max(n, 1)), np.empty((6, 0)))
+    return next(_sample_gains(m, k, plan, first, n, max(n, 1), split), np.empty((6, 0)))
 
 
 def _min_max(others):
@@ -32,21 +32,30 @@ def _min_max(others):
     return cols.min(axis=0), cols.max(axis=0)
 
 
-def window_gains(m: int, k: int, plan, first: int, n: int):
-    """(z1, u, v, z1_oma, u_oma, v_oma) for windows [first, first + n)."""
+def _renyi_triple(bits, m: int, k: int):
+    """(z1, u, v) of one beam from the m + 2 words of each row of ``bits``."""
+    uni = bits_to_uniform(bits[:, :m])
+    z1 = -np.log(uni[:, :18].prod(axis=1))
+    for i in range(18, m, 18):
+        z1 -= np.log(uni[:, i:i + 18].prod(axis=1))
+    u = bits_to_exponential(bits[:, m]) / (k - 1)
+    if k == 2:
+        return z1, u, u
+    w = bits_to_uniform(bits[:, m + 1]) ** (1.0 / (k - 2))
+    return z1, u, u - np.log1p(-np.minimum(w, 1.0 - 2.0**-53))
+
+
+def window_gains(m: int, k: int, plan, first: int, n: int, split=False):
+    """(z1, u, v, z1_oma, u_oma, v_oma) for windows [first, first + n); ``split``
+    takes the m + 5 word layout: the MRT triple from the first m + 2 words,
+    the OMA triple as M = 1 from the last 3."""
     mrt = plan.oma_beamformer == MRT or m == 1
+    if split:
+        bits = window_bits(plan.seed, DOMAIN_SPLIT, first, n, m + 5)
+        return _renyi_triple(bits[:, :m + 2], m, k) + _renyi_triple(bits[:, m + 2:], 1, k)
     if not plan.scheduling and mrt:
-        bits = window_bits(plan.seed, DOMAIN_GAIN_STATS, first, n, m + 2)
-        uni = bits_to_uniform(bits[:, :m])
-        z1 = -np.log(uni[:, :18].prod(axis=1))
-        for i in range(18, m, 18):
-            z1 -= np.log(uni[:, i:i + 18].prod(axis=1))
-        u = bits_to_exponential(bits[:, m]) / (k - 1)
-        if k == 2:
-            return z1, u, u, z1, u, u
-        w = bits_to_uniform(bits[:, m + 1]) ** (1.0 / (k - 2))
-        v = u - np.log1p(-np.minimum(w, 1.0 - 2.0**-53))
-        return z1, u, v, z1, u, v
+        return _renyi_triple(window_bits(plan.seed, DOMAIN_GAIN_STATS, first, n, m + 2),
+                             m, k) * 2
     if plan.scheduling:
         bits = window_bits(plan.seed, DOMAIN_GAINS, first, n, k * m + (0 if mrt else k))
         e = bits_to_exponential(bits[:, :k * m]).reshape(n, m, k)
