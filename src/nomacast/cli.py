@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis
 from .montecarlo import (BEAMFORMER_KINDS, CLOSED_FORMS, MRT, Estimate, MetricKind,
                          SimulationPlan, analytic_estimate, derive_estimate, estimate_many,
-                         source_metric, split_oma_law, analytic_value)  # the last for perfbench
+                         source_metric, gain_law, analytic_value)  # the last for perfbench
 from .transmission import LinkConfig
 
 EXIT_OK = 0
@@ -239,7 +239,7 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
         plan = SimulationPlan(scenario.samples, scenario.seed, scenario.scheduling,
                               scenario.oma_beamformer, workers)
         mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), plan)
-        if split_oma_law(scenario.metrics, scenario.m, plan):  # the report says which law
+        if gain_law(scenario.metrics, scenario.m, scenario.k, plan)[0] == "split":
             report.notes.append("OMA gains drawn as the M = 1 system: no paired metric requested")
     kinds = () if mode == "mc" else dict.fromkeys(map(source_metric, scenario.metrics))
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):

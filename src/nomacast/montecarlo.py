@@ -15,7 +15,7 @@ are drawn into one reused workspace and turned into gains in place, and the
 kernel reduces ``_KBLOCK`` windows at a time, with the bits of one whole draw.
 
 Every plan draws its gains without a channel matrix (see :func:`_sample_gains`),
-from their exact joint law, or each triple from its own (:func:`split_oma_law`).
+from one law per call (:func:`gain_law`): their exact joint law, or each triple's own.
 """
 
 from __future__ import annotations
@@ -127,11 +127,11 @@ def _min_max(others):
     return cols.min(axis=0), cols.max(axis=0)
 
 
-def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
-    """(z1, u, v, z1_oma, u_oma, v_oma) of a block of windows from their
-    uniforms ``w``, one row per window, which it overwrites: the unicast
-    user's gain and the smallest (u) and largest (v) of the other users'
-    gains, under the MRT beam and under the OMA beam.
+def _block_gains(w, m: int, k: int, law_name: str):
+    """(z1, u, v, z1_oma, u_oma, v_oma) of a block of windows of the named law
+    (see gain_law) from their uniforms ``w``, one row per window, which it
+    overwrites: the unicast user's gain and the smallest (u) and largest (v)
+    of the other users' gains, under the MRT beam and under the OMA beam.
 
     A CN(0, I_M) row is its Gamma(M) squared norm times an isotropic
     direction, and scheduling sees only norms.  Unscheduled with one beam
@@ -146,12 +146,14 @@ def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
     beam alike.  Unscheduled, its OMA gains are then i.i.d. Exp(1), so the
     split law draws them as the M = 1 MRT triple, apart from the MRT triple:
     only each triple's law is exact (the joint law has z1_oma <= z1).  Window
-    layouts: unscheduled MRT, z1's m uniforms, then u's and v's words; split,
-    that of m then that of M = 1; scheduled, m rows of k exponentials (a, b,
-    remainders) then k phases; otherwise z1's m exponentials, the others' a
-    and b, then k - 1 phases.
+    layouts: mrt, z1's m uniforms, then u's and v's words; split, that of m
+    then that of M = 1; scheduled, m rows of k exponentials (a, b,
+    remainders), then k phases under scheduled_joint; joint, z1's m
+    exponentials, the others' a and b, then k - 1 phases.
     """
-    if not scheduling and mrt:
+    if law_name == "split":
+        return _block_gains(w, m, k, "mrt")[:3] + _block_gains(w[:, m + 2:], 1, k, "mrt")[:3]
+    if law_name == "mrt":
         z = w[:, :m]
         # 18 uniforms multiply to at least 2^-972, so no product underflows
         z1 = -np.log(z[:, :18].prod(axis=1))
@@ -163,12 +165,13 @@ def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
         # the top words round U^(1/(K-2)) up to 1, where v would be infinite
         v = u - np.log1p(-np.minimum(w[:, m + 1] ** (1.0 / (k - 2)), 1.0 - 2.0**-53))
         return z1, u, v, z1, u, v
-    e = w[:, :k * m] if scheduling else w[:, :m + 2 * (k - 1)]
+    e = w[:, :m + 2 * (k - 1)] if law_name == "joint" else w[:, :k * m]
     np.negative(np.log(e, out=e), out=e)  # unit exponentials by inversion, in place
-    if scheduling:  # the strongest user by norm is served: swap it into column 0
+    if law_name != "joint":  # scheduled: the strongest user by norm is served, as column 0
         e = e.reshape(len(w), m, k)
         norms = np.einsum("rmk->rk", e)
         rows, sel = np.arange(len(w)), norms.argmax(axis=1)
+        mrt = law_name == "scheduled"
         users = (e[:, 0],) if mrt else (e[:, 0], e[:, 1], w[:, k * m:k * m + k])
         for x in users:  # column 0 becomes the served user's a (and b and phase)
             x[rows, sel], x[:, 0] = x[:, 0], x[rows, sel]
@@ -187,25 +190,19 @@ def _block_gains(w, m: int, k: int, mrt: bool, scheduling: bool):
     return (z1, *_min_max(others), a_sel, *_min_max(others_oma))
 
 
-def _sample_gains(m: int, k: int, plan: SimulationPlan, first: int, n: int, step: int,
-                  split: bool = False):
-    """The gains of windows [first, first + n) (see _block_gains) as successive
-    (6, <= step) views of one buffer, each valid until the next is drawn.  One
-    generator draws the windows in turn (a window's words follow the previous
-    one's) into one reused workspace of _BLOCK windows."""
-    mrt = plan.oma_beamformer == MRT or m == 1 or split
-    domain, width = ((DOMAIN_SPLIT, m + 5) if split else
-                     (DOMAIN_GAINS, k * m + (0 if mrt else k)) if plan.scheduling else
-                     (DOMAIN_GAIN_STATS, m + 2) if mrt else (DOMAIN_GAINS, m + 3 * (k - 1)))
-    gen = window_generator(plan.seed, domain, first, width)
+def _sample_gains(m: int, k: int, law, seed: int, first: int, n: int, step: int):
+    """The gains of windows [first, first + n) of ``law`` (see gain_law) as
+    successive (6, <= step) views of one buffer, each valid until the next is
+    drawn.  One generator draws the windows in turn (a window's words follow
+    the previous one's) into one reused workspace of _BLOCK windows."""
+    name, domain, width = law
+    gen = window_generator(seed, domain, first, width)
     ws, gains = np.empty((min(_BLOCK, n), -(-width // 4) * 4)), np.empty((6, min(step, n)))
     for lo in range(0, n, step):
         nk = min(step, n - lo)
         for r in range(0, nk, _BLOCK):
             w = fill_uniform(gen, ws[:min(_BLOCK, nk - r)])
-            gains[:, r:r + len(w)] = _block_gains(w, m, k, mrt, plan.scheduling)
-            if split:  # the OMA triple as M = 1, from the last 3 words (see _block_gains)
-                gains[3:, r:r + len(w)] = _block_gains(w[:, m + 2:], 1, k, True, False)[:3]
+            gains[:, r:r + len(w)] = _block_gains(w, m, k, name)
         yield gains[:, :nk]
 
 
@@ -290,24 +287,23 @@ def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
 
 
 def _chunk_moments(args):
-    """Moments of the named fields over window indices [lo, hi) at every config,
-    summed over kernel blocks of _KBLOCK windows as each is drawn: exact for
-    indicator counts.  A ``mean_*`` float sum keeps its whole-chunk rounding."""
-    cfgs, fields, m, k, plan, base, lo, hi, split = args
-    n = hi - lo
+    """Moments of the named fields over windows [first, first + n) of ``law`` at
+    every config, summed over kernel blocks of _KBLOCK windows as each is drawn:
+    exact for indicator counts.  A ``mean_*`` float sum keeps its whole-chunk rounding."""
+    cfgs, fields, m, k, law, seed, first, n = args
     step = n if any(name.startswith("mean_") for name in fields) else _KBLOCK
     sums = sumsqs = np.zeros((len(cfgs), len(fields)))
-    for gains in _sample_gains(m, k, plan, base + lo, n, step, split):
+    for gains in _sample_gains(m, k, law, seed, first, n, step):
         _, block_sums, block_sumsqs = _gain_moments(cfgs, fields, *gains)
         sums, sumsqs = sums + block_sums, sumsqs + block_sumsqs
     return n, sums, sumsqs
 
 
-def _chunk_results(cfgs, fields, m: int, k: int, plan: SimulationPlan, base: int, split):
+def _chunk_results(cfgs, fields, m: int, k: int, law, plan: SimulationPlan, base: int):
     """(n, sums, sumsqs) of each _CHUNK-window chunk, in chunk order, built and
     evaluated lazily: with several workers and chunks, in one pool (at most
     one worker per chunk) 2 * workers chunks at a time, so memory stays flat."""
-    chunks = ((cfgs, fields, m, k, plan, base, lo, min(lo + _CHUNK, plan.samples), split)
+    chunks = ((cfgs, fields, m, k, law, plan.seed, base + lo, min(_CHUNK, plan.samples - lo))
               for lo in range(0, plan.samples, _CHUNK))
     workers = min(plan.workers, -(-plan.samples // _CHUNK))
     if workers == 1:
@@ -361,25 +357,31 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m, k, na, scheduling=Fal
     return getattr(analytic_estimate(metric, cfg, m, k, na, scheduling), "value", None)
 
 
-def split_oma_law(metrics, m: int, plan: SimulationPlan) -> bool:
-    """Whether estimate_many draws the OMA gains as the M = 1 system (the split law
-    of _block_gains): unscheduled, a non-MRT beam with M > 1 and no _PAIRED field."""
-    return (not plan.scheduling and plan.oma_beamformer != MRT and m > 1
-            and _PAIRED.isdisjoint(source_metric(x).value for x in metrics))
+def gain_law(metrics, m: int, k: int, plan: SimulationPlan):
+    """(name, key domain, words per window) of the one law that estimate_many draws
+    every window of a run from (see _block_gains).  Of an unscheduled run with a
+    non-MRT beam and M > 1, only a _PAIRED field needs both triples' "joint" law."""
+    one_beam = plan.oma_beamformer == MRT or m == 1
+    paired = not _PAIRED.isdisjoint(source_metric(x).value for x in metrics)
+    return (("scheduled", DOMAIN_GAINS, k * m) if plan.scheduling and one_beam else
+            ("scheduled_joint", DOMAIN_GAINS, k * m + k) if plan.scheduling else
+            ("mrt", DOMAIN_GAIN_STATS, m + 2) if one_beam else
+            ("joint", DOMAIN_GAINS, m + 3 * (k - 1)) if paired else
+            ("split", DOMAIN_SPLIT, m + 5))
 
 
 def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int = 0):
     """One {metric: Estimate} per config of ``cfgs`` (say an SNR grid), all from
     one shared set of realizations.  Deterministic for fixed (seed, samples,
-    scheduling, beamformer, law picked by split_oma_law) for any worker count:
+    scheduling, beamformer, law picked by gain_law) for any worker count:
     realization ``i`` always consumes counter window ``stream_base + i``."""
     cfgs = list(cfgs)
     fields = tuple(dict.fromkeys(source_metric(metric).value for metric in metrics))
     analysis._check_size(*system)
     zero = np.zeros((len(cfgs), len(fields)))
     n, sums, sumsqs = 0, zero, zero
-    split = split_oma_law(metrics, system[0], plan)
-    for chunk in _chunk_results(cfgs, fields, *system, plan, stream_base, split):  # exact order
+    law = gain_law(metrics, *system, plan)
+    for chunk in _chunk_results(cfgs, fields, *system, law, plan, stream_base):  # exact order
         n, sums, sumsqs = n + chunk[0], sums + chunk[1], sumsqs + chunk[2]
     estimates = [_field_estimates(fields, n, s, q) for s, q in zip(sums, sumsqs)]
     return [{metric: derive_estimate(metric, cfg, est[source_metric(metric).value])

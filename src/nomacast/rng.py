@@ -14,11 +14,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Key domains for the Monte Carlo window streams, kept far away from small
-# stream ids: DOMAIN_GAIN_STATS for unscheduled MRT runs, DOMAIN_SPLIT for the
-# split law (montecarlo.split_oma_law: each triple's own law is exact, not their
-# joint law), DOMAIN_GAINS for every other plan.  1 << 32 keyed the retired
-# M + K - 1 layout and (1 << 32) + 1 keys the tests' oracle; neither is reused.
+# Key domains of the Monte Carlo window streams (montecarlo.gain_law picks one per
+# run), far from small stream ids.  1 << 32 keyed the retired M + K - 1 layout
+# and (1 << 32) + 1 keys the tests' oracle; neither is reused.
 DOMAIN_GAINS = (1 << 32) + 2
 DOMAIN_GAIN_STATS = (1 << 32) + 3
 DOMAIN_SPLIT = (1 << 32) + 4

@@ -25,7 +25,7 @@ from nomacast.transmission import LinkConfig, power_fraction, time_fraction
 from numeric_oracle import adaptive_integrate, incomplete_gamma_int
 from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
 from secrecy_oracle import joint_minmax_pdf, noma_rate_advantage
-from window_oracle import sample_gains
+from window_oracle import law_of, sample_gains
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -320,7 +320,8 @@ def test_c12_scheduling_gain_dominance_exact():
     plan = SimulationPlan(1_000_000, seed=1012, scheduling=True, workers=2)
     held = 0
     for lo in range(0, plan.samples, 1 << 16):  # the engine's chunks, one at a time
-        z1, u, *_ = sample_gains(2, 11, plan, lo, min(1 << 16, plan.samples - lo))
+        z1, u, *_ = sample_gains(2, 11, law_of("scheduled", 2, 11), plan.seed, lo,
+                                 min(1 << 16, plan.samples - lo))
         held += np.count_nonzero(z1 >= u)
     frac = held / plan.samples
     ok = frac == 1.0

@@ -15,7 +15,7 @@ from nomacast.analysis import chebyshev_rule, unicast_outage_prob
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, run_scenario)
-from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many
+from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many, gain_law
 from nomacast.transmission import LinkConfig
 
 
@@ -522,6 +522,19 @@ def test_snr_grid_that_starts_with_a_minus_sign_is_a_value(tmp_path, capsys, gri
 
 
 _SPLIT_NOTE = "note: OMA gains drawn as the M = 1 system: no paired metric requested"
+
+
+def test_each_preset_variant_draws_its_gain_law():
+    """fig3's equal-gain and random variants ask for no paired metric, so they
+    draw the split law; the scheduled variants draw the scheduled MRT law, and
+    every other variant the unscheduled MRT law."""
+    laws = {s.name: gain_law(s.metrics, s.m, s.k, SimulationPlan(
+                s.samples, s.seed, s.scheduling, s.oma_beamformer))[0]
+            for variants in PRESETS.values() for s in variants}
+    assert len(laws) == 11
+    special = {"fig3_equal": "split", "fig3_random": "split",
+               "fig2_sched": "scheduled", "fig5_sched": "scheduled"}
+    assert laws == {name: special.get(name, "mrt") for name in laws}
 
 
 def test_report_says_when_oma_gains_are_drawn_as_the_single_antenna_system(tmp_path):

@@ -13,11 +13,11 @@ from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, _PAIRED, EQUAL_GAIN, M
                                  OUTAGE_RATE_OF, RANDOM, MetricKind, SimulationPlan,
                                  _chunk_moments, _FIELD_OF, _FIELDS, _field_estimates,
                                  _gain_moments, _Outcomes, _sample_gains, derive_estimate,
-                                 estimate_many, source_metric, split_oma_law)
+                                 estimate_many, gain_law, source_metric)
 from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
 from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
-from window_oracle import sample_gains, window_gains
+from window_oracle import law_of, sample_gains, window_gains
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
 
@@ -194,14 +194,12 @@ def test_grid_points_equal_single_point_estimates(plan, workers):
 
 
 def test_scheduling_invariant_holds():
-    plan = SimulationPlan(20_000, seed=12, scheduling=True)
-    z1, u, *_ = sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, *_ = sample_gains(3, 5, law_of("scheduled", 3, 5), 12, 0, 20_000)
     assert np.mean(z1 >= u) == 1.0
 
 
 def test_no_scheduling_sometimes_trails():
-    plan = SimulationPlan(20_000, seed=13)
-    z1, u, *_ = sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, *_ = sample_gains(3, 5, law_of("mrt", 3, 5), 13, 0, 20_000)
     assert np.mean(z1 >= u) < 1.0
 
 
@@ -309,7 +307,8 @@ def _oracle_moments(cfg, realizations):
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
-    n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, plan, 0, 0, plan.samples, False))
+    law = gain_law(list(MetricKind), m, k, plan)  # the joint law where the beams differ
+    n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, law, plan.seed, 0, plan.samples))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
     assert np.allclose(sums, ref_sums, rtol=1e-10, atol=1e-12)
@@ -353,7 +352,8 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
     """The reduction to estimates tells a probability from a mean by the field
     name alone (see _field_estimates), so the kernel must give a boolean per
     realization for every field but a ``mean_*`` one."""
-    z1, u, v, z1_oma, u_oma, v_oma = sample_gains(3, 5, plan, 0, plan.samples)
+    z1, u, v, z1_oma, u_oma, v_oma = sample_gains(3, 5, gain_law((), 3, 5, plan), plan.seed, 0,
+                                                  plan.samples)
     for cfg in (CFG, replace(CFG, rho=1e4, r_s=0.0)):
         outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, np.minimum(z1, u),
                              np.minimum(z1_oma, u_oma))
@@ -370,7 +370,7 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
 def test_requested_fields_equal_the_all_fields_evaluation(plan):
     """The fields each metric reads, alone and in a pair, come out exactly as
     they do when the kernel evaluates every field on the same gains."""
-    gains = sample_gains(3, 5, plan, 0, plan.samples)
+    gains = sample_gains(3, 5, gain_law((), 3, 5, plan), plan.seed, 0, plan.samples)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
     sets = [(source_metric(metric).value,) for metric in MetricKind]
@@ -392,8 +392,8 @@ def test_chunk_moments_leave_no_reference_cycles(plan):
     gc.collect()
     gc.disable()
     try:
-        _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5, plan, 0, 0,
-                        plan.samples, False))
+        _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5,
+                        gain_law(list(MetricKind), 3, 5, plan), plan.seed, 0, plan.samples))
     finally:
         gc.enable()
     assert gc.collect() == 0
@@ -404,30 +404,29 @@ _BLOCK_CFGS = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)
 _ACROSS_BLOCKS = 3 * _BLOCK + 77  # three whole blocks and a partial one
 
 
-@pytest.mark.parametrize("system, plan, n, split", [
-    ((10, 11), SimulationPlan(1, seed=71), _ACROSS_BLOCKS, False),
-    ((40, 11), SimulationPlan(1, seed=72), _ACROSS_BLOCKS, False),
-    ((3, 2), SimulationPlan(1, seed=73), _ACROSS_BLOCKS, False),
-    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), _ACROSS_BLOCKS, False),
-    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), _ACROSS_BLOCKS, False),
-    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN),
-     _ACROSS_BLOCKS, False),
-    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), _ACROSS_BLOCKS, False),
-    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), 300,
-     False),
-    ((10, 11), SimulationPlan(1, seed=82, oma_beamformer=RANDOM), _ACROSS_BLOCKS, True),
-    ((40, 2), SimulationPlan(1, seed=83, oma_beamformer=EQUAL_GAIN), 300, True),
+# m1_random, an M = 1 run with a random OMA beam, draws the MRT law (see gain_law)
+@pytest.mark.parametrize("system, name, seed, n", [
+    ((10, 11), "mrt", 71, _ACROSS_BLOCKS),
+    ((40, 11), "mrt", 72, _ACROSS_BLOCKS),
+    ((3, 2), "mrt", 73, _ACROSS_BLOCKS),
+    ((1, 5), "mrt", 74, _ACROSS_BLOCKS),
+    ((2, 11), "scheduled", 75, _ACROSS_BLOCKS),
+    ((3, 5), "scheduled_joint", 76, _ACROSS_BLOCKS),
+    ((10, 11), "joint", 77, _ACROSS_BLOCKS),
+    ((10, 11), "scheduled_joint", 78, 300),
+    ((10, 11), "split", 82, _ACROSS_BLOCKS),
+    ((40, 2), "split", 83, 300),
 ], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
         "below_one_block", "split", "split_m40_k2"])
-def test_blocked_chunk_equals_one_whole_range_draw(system, plan, n, split):
+def test_blocked_chunk_equals_one_whole_range_draw(system, name, seed, n):
     """A chunk drawn in _BLOCK-window blocks gives every field's sums and squares
     bit for bit as one draw of its whole window range, from a nonzero first
     window, so the float sums of the ``mean_*`` fields are pinned too."""
     m, k = system
-    base, lo = 5, 1000
-    blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, plan, base, lo, lo + n, split))
+    law, first = law_of(name, m, k), 1005
+    blocked = _chunk_moments((_BLOCK_CFGS, _FIELDS, m, k, law, seed, first, n))
     n_whole, sums, sumsqs = _gain_moments(_BLOCK_CFGS, _FIELDS,
-                                          *sample_gains(m, k, plan, base + lo, n, split))
+                                          *sample_gains(m, k, law, seed, first, n))
     assert blocked[0] == n_whole == n
     assert np.array_equal(blocked[1], sums) and np.array_equal(blocked[2], sumsqs)
 
@@ -438,12 +437,11 @@ def test_chunk_sampling_memory_stays_blocked():
     blocks of 2^12 and 174 MB when drawn whole, where each of the sampler's
     arrays of 110 words per window is 58 MB."""
     import tracemalloc
-    plan = SimulationPlan(_CHUNK, seed=79, scheduling=True)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (20.0, 24.0, 28.0)]
     tracemalloc.start()
     try:
-        _chunk_moments((cfgs, ("unicast_outage", "secrecy_outage"), 10, 11, plan, 0, 0,
-                        _CHUNK, False))
+        _chunk_moments((cfgs, ("unicast_outage", "secrecy_outage"), 10, 11,
+                        law_of("scheduled", 10, 11), 79, 0, _CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -455,22 +453,22 @@ _INDICATORS = tuple(name for name in _FIELDS if not name.startswith("mean_"))
 
 @pytest.mark.parametrize("n", [_KBLOCK + 3 * _BLOCK + 77, 300],
                          ids=["across_kernel_blocks", "below_one_block"])
-@pytest.mark.parametrize("system, plan, split", [
-    ((10, 11), SimulationPlan(1, seed=71), False),
-    ((40, 11), SimulationPlan(1, seed=72), False),
-    ((3, 2), SimulationPlan(1, seed=73), False),
-    ((1, 5), SimulationPlan(1, seed=74, oma_beamformer=RANDOM), False),
-    ((2, 11), SimulationPlan(1, seed=75, scheduling=True), False),
-    ((3, 5), SimulationPlan(1, seed=76, scheduling=True, oma_beamformer=EQUAL_GAIN), False),
-    ((10, 11), SimulationPlan(1, seed=77, oma_beamformer=RANDOM), False),
-    ((10, 11), SimulationPlan(1, seed=78, scheduling=True, oma_beamformer=RANDOM), False),
-    ((10, 11), SimulationPlan(1, seed=80, scheduling=True), False),
-    ((10, 11), SimulationPlan(1, seed=84, oma_beamformer=RANDOM), True),
-    ((40, 11), SimulationPlan(1, seed=85, oma_beamformer=EQUAL_GAIN), True),
-    ((2, 2), SimulationPlan(1, seed=86, oma_beamformer=RANDOM), True),
+@pytest.mark.parametrize("system, name, seed", [
+    ((10, 11), "mrt", 71),
+    ((40, 11), "mrt", 72),
+    ((3, 2), "mrt", 73),
+    ((1, 5), "mrt", 74),
+    ((2, 11), "scheduled", 75),
+    ((3, 5), "scheduled_joint", 76),
+    ((10, 11), "joint", 77),
+    ((10, 11), "scheduled_joint", 78),
+    ((10, 11), "scheduled", 80),
+    ((10, 11), "split", 84),
+    ((40, 11), "split", 85),
+    ((2, 2), "split", 86),
 ], ids=["mrt", "mrt_m40", "k2", "m1_random", "sched", "sched_equal", "random",
         "sched_random", "fig5_sched", "split", "split_m40", "split_k2"])
-def test_sampler_matches_the_window_oracle(system, plan, split, n):
+def test_sampler_matches_the_window_oracle(system, name, seed, n):
     """The one pass from Philox to the gains (one generator and one reused
     workspace per call, uniforms and exponentials made in place) gives the
     six gains of window_bits' words bit for bit, whether drawn as one block
@@ -478,18 +476,17 @@ def test_sampler_matches_the_window_oracle(system, plan, split, n):
     sums and squares over the oracle's gains: from a nonzero first window,
     over a range that is not a multiple of _KBLOCK and over one below
     _BLOCK, for indicator fields alone (summed per kernel block) and with
-    the ``mean_*`` fields (one block per chunk), in the joint and the split
-    (m + 5 word) layout."""
+    the ``mean_*`` fields (one block per chunk), under each of the five laws."""
     m, k = system
-    base, lo = 5, 1000
-    expected = [np.asarray(g) for g in window_gains(m, k, plan, base + lo, n, split)]
+    law, first = law_of(name, m, k), 1005
+    expected = [np.asarray(g) for g in window_gains(m, k, law, seed, first, n)]
     kernel_blocks = np.concatenate(
-        [g.copy() for g in _sample_gains(m, k, plan, base + lo, n, _KBLOCK, split)], axis=1)
-    for drawn in (sample_gains(m, k, plan, base + lo, n, split), kernel_blocks):
+        [g.copy() for g in _sample_gains(m, k, law, seed, first, n, _KBLOCK)], axis=1)
+    for drawn in (sample_gains(m, k, law, seed, first, n), kernel_blocks):
         for got, want in zip(drawn, expected):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for fields in (_INDICATORS, _FIELDS):
-        chunk = _chunk_moments((_BLOCK_CFGS, fields, m, k, plan, base, lo, lo + n, split))
+        chunk = _chunk_moments((_BLOCK_CFGS, fields, m, k, law, seed, first, n))
         whole = _gain_moments(_BLOCK_CFGS, fields, *expected)
         assert chunk[0] == whole[0] == n
         assert np.array_equal(chunk[1], whole[1]) and np.array_equal(chunk[2], whole[2])
@@ -511,7 +508,7 @@ def test_chunk_peak_memory_is_a_few_blocks(scheduling, step_db, metrics, bound):
             for db in range(0, 41, step_db)]
     tracemalloc.start()
     try:
-        _chunk_moments((cfgs, metrics, 10, 11, plan, 0, 0, _CHUNK, False))
+        _chunk_moments((cfgs, metrics, 10, 11, gain_law((), 10, 11, plan), plan.seed, 0, _CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -706,19 +703,32 @@ def test_paired_fields_are_the_fields_that_read_both_beams():
 
 
 def test_the_gain_law_is_chosen_from_the_plan_and_the_metrics():
-    """Only an unscheduled run with a non-MRT beam, M > 1 and no paired metric
-    draws the split law; an outage rate reads its probability's field."""
-    rates = (MetricKind.OUTAGE_RATE_UNICAST, MetricKind.OUTAGE_RATE_UNICAST_OMA)
-    random, equal = (SimulationPlan(1, 1, oma_beamformer=kind) for kind in (RANDOM, EQUAL_GAIN))
-    assert split_oma_law(rates, 10, random) and split_oma_law(rates, 2, equal)
-    assert split_oma_law([m for m in MetricKind if source_metric(m).value not in _PAIRED],
-                         10, random)
-    for paired in (MetricKind.NOMA_TRAILS_OMA, MetricKind.SECRECY_VIOLATION,
-                   MetricKind.MEAN_SECRECY_GAP):
-        assert not split_oma_law(rates + (paired,), 10, random), paired
-    assert not split_oma_law(rates, 1, random)
-    assert not split_oma_law(rates, 10, SimulationPlan(1, 1))
-    assert not split_oma_law(rates, 10, SimulationPlan(1, 1, True, RANDOM))
+    """Five laws.  Unscheduled: "mrt" with the MRT beam or M = 1, else "split",
+    or "joint" when a paired metric reads both triples (an outage rate reads
+    its probability's field, which is not paired).  Scheduled: "scheduled"
+    with the MRT beam or M = 1, else "scheduled_joint", whatever the metrics.
+    Each law's key domain and width are the window oracle's own."""
+    rates = (MetricKind.OUTAGE_RATE_UNICAST, MetricKind.OUTAGE_RATE_UNICAST_OMA,
+             MetricKind.OUTAGE_RATE_SECRECY_OMA)
+    unpaired = tuple(m for m in MetricKind if source_metric(m).value not in _PAIRED)
+    every = tuple(MetricKind)
+    cases = [  # (scheduling, OMA beamformer, M, metrics, law)
+        (False, MRT, 10, every, "mrt"), (False, MRT, 1, rates, "mrt"),
+        (False, RANDOM, 1, rates, "mrt"), (False, EQUAL_GAIN, 1, every, "mrt"),
+        (False, RANDOM, 10, rates, "split"), (False, EQUAL_GAIN, 2, rates, "split"),
+        (False, RANDOM, 10, unpaired, "split"), (False, EQUAL_GAIN, 40, (), "split"),
+        (False, RANDOM, 10, every, "joint"),
+        (True, MRT, 10, rates, "scheduled"), (True, MRT, 2, every, "scheduled"),
+        (True, RANDOM, 1, rates, "scheduled"), (True, EQUAL_GAIN, 1, every, "scheduled"),
+        (True, RANDOM, 10, rates, "scheduled_joint"),
+        (True, EQUAL_GAIN, 2, every, "scheduled_joint"),
+    ] + [(False, beam, 10, rates + (paired,), "joint") for beam in (RANDOM, EQUAL_GAIN)
+         for paired in (MetricKind.NOMA_TRAILS_OMA, MetricKind.SECRECY_VIOLATION,
+                        MetricKind.MEAN_SECRECY_GAP)]
+    for scheduling, beamformer, m, metrics, name in cases:
+        for k in (2, 5, 11):
+            law = gain_law(metrics, m, k, SimulationPlan(1, 1, scheduling, beamformer))
+            assert law == law_of(name, m, k), (scheduling, beamformer, m, k, metrics)
 
 
 def test_paired_metric_keeps_the_joint_windows():
@@ -746,12 +756,13 @@ def test_split_runs_are_bit_identical_for_any_workers_and_chunking():
     plan = SimulationPlan(70_000, seed=87, oma_beamformer=EQUAL_GAIN)
     metrics = [m for m in MetricKind if source_metric(m).value not in _PAIRED]
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (8.0, 20.0, 32.0)]
-    assert split_oma_law(metrics, 10, plan)
+    law = gain_law(metrics, 10, 11, plan)
+    assert law[0] == "split"
     one = estimate_many(metrics, cfgs, (10, 11), plan)
     assert one == estimate_many(metrics, cfgs, (10, 11), replace(plan, workers=2))
     fields = tuple(name for name in _INDICATORS if name not in _PAIRED)
     cuts = [0, 1, 4099, 40_000, plan.samples]
-    counts = sum(_chunk_moments((cfgs, fields, 10, 11, plan, 0, lo, hi, True))[1]
+    counts = sum(_chunk_moments((cfgs, fields, 10, 11, law, plan.seed, lo, hi - lo))[1]
                  for lo, hi in zip(cuts, cuts[1:]))
     for point, row in zip(one, counts):
         for name, count in zip(fields, row):
@@ -767,7 +778,7 @@ def test_split_oma_metrics_match_the_single_antenna_system():
     oma = (MetricKind.UNICAST_OUTAGE_OMA, MetricKind.SECRECY_OUTAGE_OMA)
     noma = (MetricKind.UNICAST_OUTAGE,)
     plan = SimulationPlan(1 << 18, seed=88, oma_beamformer=RANDOM)
-    assert split_oma_law(noma + oma, 10, plan)
+    assert gain_law(noma + oma, 10, 11, plan)[0] == "split"
     random = estimate_many(noma + oma, cfgs, (10, 11), plan)
     single = estimate_many(oma, cfgs, (1, 11), SimulationPlan(1 << 18, seed=89))
     mrt = estimate_many(noma, cfgs, (10, 11), SimulationPlan(1 << 18, seed=90))
