@@ -365,15 +365,13 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **{_KEYS[key][0]: _KEYS[key][1](t) for key, t in texts.items()})
 
 
-def _collapse_identical(scenarios, run_name: str):
-    """One variant, named after the run, when the overrides made all identical.
-
-    A preset's variants differ in one field (r_s, scheduling or the OMA
-    beamformer); overriding that field leaves copies that would repeat the
-    same work under misleading names.
-    """
-    runs = {replace(s, name=run_name) for s in scenarios}
-    return list(runs) if len(runs) == 1 else scenarios
+def _job_key(scenario: Scenario, run_name: str):
+    """Variants of a run with one key are one job, evaluated once.  The key holds
+    every field _evaluate reads but the name, which only a skipped variant's note
+    carries, with the gain law in place of the OMA beam: the engine reads the beam
+    only to pick that law, and CLOSED_FORMS is keyed by metric and scheduling."""
+    law = gain_law(scenario.metrics, scenario.m, scenario.k, scenario)  # plan: beam, scheduling
+    return replace(scenario, name=run_name, oma_beamformer=MRT), law
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,15 +409,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenarios, run_name = resolve_scenarios(args.scenario, args.config)
-        scenarios = _collapse_identical([_apply_overrides(s, args) for s in scenarios], run_name)
-        # every variant is evaluated before any file is written
-        results = [_evaluate(s, args.mode, args.workers) for s in scenarios]
-        reports = [report for report, _ in results]
-        if args.mode == "analytic" and not any(any(rows.values()) for _, rows in results):
+        scenarios = [_apply_overrides(s, args) for s in scenarios]
+        keys = [_job_key(s, run_name) for s in scenarios]
+        if len(set(keys)) == 1:  # one job: one variant, named after the run
+            scenarios, keys = [replace(scenarios[0], name=run_name)], keys[:1]
+        # each job is evaluated once, as its first variant, before any file is written
+        jobs = {key: _evaluate(scenarios[keys.index(key)], args.mode, args.workers)
+                for key in dict.fromkeys(keys)}
+        reports = [replace(jobs[key][0], scenario=s) for key, s in zip(keys, scenarios)]
+        if args.mode == "analytic" and not any(any(rows.values()) for _, rows in jobs.values()):
             raise analysis.UnsupportedAnalyticsError(  # no variant has a closed form
                 "; ".join(dict.fromkeys(note for r in reports for note in r.notes)))
-        for scenario, (_, csv_rows) in zip(scenarios, results):
-            for p in _write_csvs(scenario, csv_rows, args.out):
+        for key, scenario in zip(keys, scenarios):
+            for p in _write_csvs(scenario, jobs[key][1], args.out):
                 print(f"wrote {p}")
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"

@@ -260,7 +260,6 @@ _FIELD_OF = {
     "mean_secrecy_gap": lambda o: o.rs_noma - o.rs_oma,
     "secrecy_violation": lambda o: o.rs_noma - o.rs_oma < -RATE_EQ_GUARD,
 }
-_FIELDS = tuple(_FIELD_OF)
 _PAIRED = frozenset({"noma_trails_oma", "secrecy_violation", "mean_secrecy_gap"})
 
 

@@ -15,7 +15,8 @@ from nomacast.analysis import chebyshev_rule, unicast_outage_prob
 from nomacast.cli import (CSV_HEADER, PRESETS, ComparisonReport, ReportRow,
                           ScenarioError, Scenario, emit_csv, load_scenario_file,
                           main, parse_metrics, parse_snr_grid, run_scenario)
-from nomacast.montecarlo import MetricKind, SimulationPlan, estimate_many, gain_law
+from nomacast.montecarlo import (BEAMFORMER_KINDS, MetricKind, SimulationPlan, estimate_many,
+                                 gain_law)
 from nomacast.transmission import LinkConfig
 
 
@@ -657,20 +658,33 @@ def test_secrecy_outage_at_zero_target_matches_closed_form(tmp_path):
     assert at_0db["analytic"] > 0.999 and at_0db["mc"] > 0.999
 
 
+def _counting_evaluate(monkeypatch):
+    """The names of the variants that main evaluates, in call order."""
+    calls, evaluate = [], cli._evaluate
+
+    def counting(scenario, mode, workers):
+        calls.append(scenario.name)
+        return evaluate(scenario, mode, workers)
+    monkeypatch.setattr(cli, "_evaluate", counting)
+    return calls
+
+
 @pytest.mark.parametrize("preset, override, variants", [
     ("fig4", ["--r-s", "0"], ["fig4"]),
     ("fig2", ["--scheduling", "on"], ["fig2"]),
     ("fig3", ["--oma-beamformer", "mrt"], ["fig3"]),
     ("fig5", ["--scheduling", "off"], ["fig5"]),
     ("fig4", ["--r-m", "1.5"], ["fig4_rs1", "fig4_rs2", "fig4_rs3"]),
+    ("fig3", ["--m", "1"], ["fig3"]),  # at M = 1 every OMA beam is the MRT beam
 ])
-def test_override_that_makes_variants_identical_runs_one(tmp_path, preset, override,
-                                                          variants):
-    """Variants an override makes identical run once, named after the preset."""
+def test_override_that_makes_variants_identical_runs_one(tmp_path, monkeypatch, preset,
+                                                          override, variants):
+    """Variants that an override makes one job run once, named after the preset."""
+    calls = _counting_evaluate(monkeypatch)
     metric = "secrecy_outage" if preset in ("fig4", "fig5") else "unicast_outage"
     code = main(["--scenario", preset, "--metric", metric, *override, "--mode", "mc",
                  "--samples", "1000", "--snr", "10", "--out", str(tmp_path)])
-    assert code == 0
+    assert code == 0 and calls == variants
     report = (tmp_path / f"{preset}_report.txt").read_text()
     assert [line.split(":")[0] for line in report.splitlines()
             if line.startswith("scenario ")] == [f"scenario {v}" for v in variants]
@@ -817,6 +831,77 @@ def test_fig3_equal_and_random_beams_write_identical_rows(tmp_path):
     assert [p.name.replace("equal", "random") for p in paths_e] == [p.name for p in paths_r]
     for pe, pr in zip(paths_e, paths_r):
         assert pe.read_bytes() == pr.read_bytes()
+
+
+def test_fig3_equal_and_random_beams_are_one_job_with_three_report_sections(tmp_path,
+                                                                             monkeypatch):
+    """main evaluates fig3's equal-gain and random variants, one job, once, and
+    still writes each its own files and report section, with its own beam."""
+    calls = _counting_evaluate(monkeypatch)
+    assert main(["--scenario", "fig3", "--mode", "mc", "--samples", "3000",
+                 "--snr", "16,24", "--out", str(tmp_path)]) == 0
+    assert calls == ["fig3_mrt", "fig3_equal"]
+    equal = sorted(tmp_path.glob("fig3_equal_*.csv"))
+    random = sorted(tmp_path.glob("fig3_random_*.csv"))
+    assert len(equal) == 2 and [p.name.replace("random", "equal") for p in random] == [
+        p.name for p in equal]
+    assert [p.read_bytes() for p in equal] == [p.read_bytes() for p in random]
+    headers = [line for line in (tmp_path / "fig3_report.txt").read_text().splitlines()
+               if line.startswith("scenario ")]
+    assert [h.split(":")[0] for h in headers] == [f"scenario fig3_{b}" for b in BEAMFORMER_KINDS]
+    assert [re.search(r" oma=(\w+) ", h)[1] for h in headers] == list(BEAMFORMER_KINDS)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_main_writes_what_run_scenario_writes_for_each_variant(tmp_path, preset):
+    """Sharing a job between variants never reaches the bytes: main's CSVs are
+    those that run_scenario writes variant by variant, and its report is their
+    reports' renderings, joined by blank lines."""
+    code = main(["--scenario", preset, "--mode", "both", "--samples", "2000",
+                 "--snr", "10,30", "--out", str(tmp_path / "main")])
+    reports, paths = [], []
+    for s in PRESETS[preset]:
+        report, written = run_scenario(replace(s, samples=2000, snr_grid_db=(10.0, 30.0)),
+                                       out_dir=tmp_path / "api", mode="both")
+        reports.append(report)
+        paths += written
+    assert code == (0 if all(r.all_pass for r in reports) else 1)
+    assert sorted(p.name for p in (tmp_path / "main").glob("*.csv")) == sorted(
+        p.name for p in paths)
+    for path in paths:
+        assert (tmp_path / "main" / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (tmp_path / "main" / f"{preset}_report.txt").read_text() == (
+        "\n\n".join(r.render() for r in reports) + "\n")
+
+
+_OUTAGE_RATES = PRESETS["fig3"][0].metrics
+
+
+@pytest.mark.parametrize("m, scheduling, metrics, beams", [
+    (1, False, _OUTAGE_RATES, BEAMFORMER_KINDS),
+    (1, True, _OUTAGE_RATES, BEAMFORMER_KINDS),
+    (3, False, _OUTAGE_RATES, ("equal", "random")),
+    (3, False, _OUTAGE_RATES + (MetricKind.NOMA_TRAILS_OMA,), ("equal", "random")),
+    (3, True, _OUTAGE_RATES, ("equal", "random")),
+], ids=["m1", "m1_sched", "m3", "m3_paired", "m3_sched"])
+def test_variants_with_one_job_key_write_identical_rows(tmp_path, m, scheduling, metrics,
+                                                        beams):
+    """The job key stands for the rows: variants that share it write the same
+    bytes.  A law that came to depend on the beam would fail here."""
+    variants = [_tiny(m=m, k=5, r_u=3.0, scheduling=scheduling, metrics=metrics,
+                      oma_beamformer=beam, samples=2000) for beam in beams]
+    assert len({cli._job_key(s, "run") for s in variants}) == 1
+    written = [run_scenario(s, out_dir=tmp_path / s.oma_beamformer, mode="both")[1]
+               for s in variants]
+    files = [[(p.name, p.read_bytes()) for p in paths] for paths in written]
+    assert len(files[0]) == len(metrics) and files == [files[0]] * len(files)
+
+
+@pytest.mark.parametrize("scheduling", [False, True])
+def test_mrt_and_equal_gain_beams_are_two_jobs_at_three_antennas(scheduling):
+    mrt, equal = (cli._job_key(_tiny(m=3, k=5, scheduling=scheduling, oma_beamformer=beam),
+                               "run") for beam in ("mrt", "equal"))
+    assert mrt[0] == equal[0] and mrt[1] != equal[1]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"

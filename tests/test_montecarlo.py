@@ -11,7 +11,7 @@ from full_matrix_oracle import full_matrix_gains
 from link_oracle import evaluate_link, gains
 from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, _PAIRED, EQUAL_GAIN, MRT,
                                  OUTAGE_RATE_OF, RANDOM, MetricKind, SimulationPlan,
-                                 _chunk_moments, _FIELD_OF, _FIELDS, _field_estimates,
+                                 _chunk_moments, _FIELD_OF, _field_estimates,
                                  _gain_moments, _Outcomes, _sample_gains, derive_estimate,
                                  estimate_many, gain_law, source_metric)
 from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
@@ -20,6 +20,7 @@ from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_b
 from window_oracle import law_of, sample_gains, window_gains
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
+_FIELDS = tuple(_FIELD_OF)  # every kernel field, in the kernel's order
 
 
 def test_plan_validation():
