@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
+import os
 import re
 import sys
 from collections import Counter
@@ -166,10 +168,20 @@ class ComparisonReport:
     verdicts: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     gaps: list = field(default_factory=list)  # (snr_db, label, noma - oma)
+    skipped: bool = False  # analytic mode, and no closed form applies
 
     @property
     def all_pass(self) -> bool:
         return all(v == "PASS" for v in self.verdicts)
+
+    @property
+    def all_notes(self) -> list:
+        """The notes, and the skip note that names this report's own variant."""
+        if not self.skipped:
+            return self.notes
+        return self.notes + [
+            f"no closed form applies to scenario {self.scenario.name!r} (scheduling="
+            f"{'on' if self.scenario.scheduling else 'off'}); variant skipped"]
 
     def render(self) -> str:
         lines = [f"scenario {self.scenario.name}: M={self.scenario.m} "
@@ -178,7 +190,7 @@ class ComparisonReport:
                  f"scheduling={'on' if self.scenario.scheduling else 'off'} "
                  f"oma={self.scenario.oma_beamformer} samples={self.scenario.samples} "
                  f"seed={self.scenario.seed}"]
-        for note in self.notes:
+        for note in self.all_notes:
             lines.append(f"  note: {note}")
         if not self.rows:
             lines.append("  no analytic/Monte-Carlo pairs to compare")
@@ -192,24 +204,57 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def emit_csv(rows, path):
-    """Write metric rows with the fixed schema and deterministic order."""
+def _csv_text(rows) -> str:
+    """Metric rows as CSV text with the fixed schema and deterministic order."""
     rows = sorted(rows, key=lambda r: (r["snr_db"], r["metric"], r["method"]))
     if not rows:
         raise ValueError("no rows to write")
-    path = Path(path)
-    try:  # an output path that cannot be created or written is a usage error
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([_snr_label(r["snr_db"]), r["metric"], r["method"],
+                         f"{r['value']:.9g}", f"{r['stderr']:.9g}",
+                         f"{r['ci_low']:.9g}", f"{r['ci_high']:.9g}"])
+    return text.getvalue()
+
+
+def _write_text(path: Path, text: str, name=None):
+    """Write ``text`` to ``path``, creating its directory.  An output path that
+    cannot be created or written is a usage error, reported as ``name`` (default ``path``)."""
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow([_snr_label(r["snr_db"]), r["metric"], r["method"],
-                                 f"{r['value']:.9g}", f"{r['stderr']:.9g}",
-                                 f"{r['ci_low']:.9g}", f"{r['ci_high']:.9g}"])
+            fh.write(text)
     except OSError as exc:
-        raise ScenarioError(f"cannot write {path}: {exc}") from None
-    return path
+        raise ScenarioError(f"cannot write {name or path}: {exc}") from None
+
+
+def emit_csv(rows, path):
+    """Write metric rows with the fixed schema and deterministic order."""
+    _write_text(Path(path), _csv_text(rows))
+    return Path(path)
+
+
+def _write_all(files):
+    """Write each (path, text) of the list ``files`` under a temporary name beside
+    its path, and rename them all only after the last write succeeded, so a run
+    whose write fails leaves none of its files."""
+    temps = []
+    try:
+        for path, text in files:
+            if path.is_dir():  # its rename would fail after the others had landed
+                raise ScenarioError(f"cannot write {path}: it is a directory")
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            _write_text(temps[-1], text, path)
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {exc.filename2 or exc.filename}: {exc}") from None
+    finally:
+        for temp in temps:
+            if temp.exists():  # not after its rename, nor where --out is no directory
+                temp.unlink()
 
 
 def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
@@ -220,7 +265,8 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
     variant with none at all writes no CSV and says so in a report note.
     """
     report, csv_rows = _evaluate(scenario, mode, workers)
-    return report, _write_csvs(scenario, csv_rows, out_dir)
+    return report, [emit_csv(rows, path)
+                    for path, rows in _csv_paths(scenario, csv_rows, out_dir).items()]
 
 
 def _evaluate(scenario: Scenario, mode: str, workers: int):
@@ -270,17 +316,14 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
             if noma_metric in mc and oma_metric in mc:
                 report.gaps.append((snr_db, label,
                                     mc[noma_metric].value - mc[oma_metric].value))
-    if mode == "analytic" and not any(csv_rows.values()) and not report.notes:
-        report.notes.append(
-            f"no closed form applies to scenario {scenario.name!r} "
-            f"(scheduling={'on' if scenario.scheduling else 'off'}); variant skipped")
+    report.skipped = mode == "analytic" and not any(csv_rows.values()) and not report.notes
     return report, csv_rows
 
 
-def _write_csvs(scenario: Scenario, csv_rows, out_dir):
-    """One CSV per metric with rows, named after the variant; returns the paths."""
-    return [emit_csv(rows, Path(out_dir) / f"{scenario.name}_{metric.value}.csv")
-            for metric, rows in csv_rows.items() if rows]
+def _csv_paths(scenario: Scenario, csv_rows, out_dir) -> dict:
+    """{path: rows} of one CSV per metric with rows, named after the variant."""
+    return {Path(out_dir) / f"{scenario.name}_{metric.value}.csv": rows
+            for metric, rows in csv_rows.items() if rows}
 
 
 # --- configuration loading ----------------------------------------------------
@@ -419,17 +462,15 @@ def main(argv=None) -> int:
         reports = [replace(jobs[key][0], scenario=s) for key, s in zip(keys, scenarios)]
         if args.mode == "analytic" and not any(any(rows.values()) for _, rows in jobs.values()):
             raise analysis.UnsupportedAnalyticsError(  # no variant has a closed form
-                "; ".join(dict.fromkeys(note for r in reports for note in r.notes)))
-        for key, scenario in zip(keys, scenarios):
-            for p in _write_csvs(scenario, jobs[key][1], args.out):
-                print(f"wrote {p}")
+                "; ".join(dict.fromkeys(note for r in reports for note in r.all_notes)))
+        csvs = {path: rows for key, scenario in zip(keys, scenarios)
+                for path, rows in _csv_paths(scenario, jobs[key][1], args.out).items()}
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"
-        try:
-            summary_path.parent.mkdir(parents=True, exist_ok=True)
-            summary_path.write_text(summary + "\n")
-        except OSError as exc:
-            raise ScenarioError(f"cannot write {summary_path}: {exc}") from None
+        _write_all([*((path, _csv_text(rows)) for path, rows in csvs.items()),
+                    (summary_path, summary + "\n")])
+        for path in csvs:
+            print(f"wrote {path}")
         print(summary)
         print(f"wrote {summary_path}")
         return EXIT_OK if all(r.all_pass for r in reports) else EXIT_COMPARISON_FAIL

@@ -244,13 +244,10 @@ class _Outcomes:
 
 # field name -> its per-realization value: a float for a ``mean_*`` name, else
 # an event indicator.  The _PAIRED fields read both beams' gains (their joint law).
+# The NOMA unicast and secrecy outages are kernel fields too, read from _RHO_STAR.
 _FIELD_OF = {
     "multicast_outage": lambda o: o.gmin < o.cfg.eps_m / o.cfg.rho,
-    "unicast_outage": lambda o: o.z1 * o.alpha_u2 < o.cfg.eps_u / o.cfg.rho,
     "unicast_outage_oma": lambda o: o.r1_oma < o.cfg.r_u,
-    # no positive secrecy rate is an outage, even at r_s = 0
-    "secrecy_outage": lambda o: ((o.z1 - 2.0**o.cfg.r_s * o.v) * o.alpha_u2
-                                 <= o.cfg.eps_s / o.cfg.rho),
     "secrecy_outage_oma": lambda o: o.rs_oma <= o.cfg.r_s,
     "noma_trails_oma": lambda o: o.r1_noma <= o.r1_oma + RATE_EQ_GUARD,
     "mean_noma_unicast_rate": lambda o: o.r1_noma,
@@ -259,6 +256,32 @@ _FIELD_OF = {
     "mean_oma_secrecy_rate": lambda o: o.rs_oma,
     "mean_secrecy_gap": lambda o: o.rs_noma - o.rs_oma,
     "secrecy_violation": lambda o: o.rs_noma - o.rs_oma < -RATE_EQ_GUARD,
+}
+
+
+def _unicast_rho_star(o):
+    """rho*_U = eps_m/g + eps_u (1 + eps_m)/z1: with alpha_U^2 of power_fraction,
+    z1 alpha_U^2 < eps_u/rho exactly when rho < rho*_U."""
+    with np.errstate(divide="ignore"):  # a zero gain is an outage at every SNR
+        return o.cfg.eps_m / o.gmin + o.cfg.eps_u * (1.0 + o.cfg.eps_m) / o.z1
+
+
+def _secrecy_rho_star(o):
+    """rho*_S = eps_m/g + eps_s (1 + eps_m)/(z1 - 2^r_s v), or infinity where
+    z1 <= 2^r_s v: (z1 - 2^r_s v) alpha_U^2 <= eps_s/rho exactly when rho <= rho*_S.
+    No positive secrecy rate is an outage, even at r_s = 0."""
+    d = o.z1 - 2.0**o.cfg.r_s * o.v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(d > 0.0, o.cfg.eps_s * (1.0 + o.cfg.eps_m) / d, np.inf)
+        return o.cfg.eps_m / o.gmin + excess
+
+
+# field name -> (its per-realization critical SNR rho*, the ufunc of (rho*, rho)
+# that is its indicator).  Each NOMA event here holds exactly when rho is below
+# rho* (or at it), so a grid's counts are one compare per point; rho* reads no rho.
+_RHO_STAR = {
+    "unicast_outage": (_unicast_rho_star, np.greater),
+    "secrecy_outage": (_secrecy_rho_star, np.greater_equal),
 }
 _PAIRED = frozenset({"noma_trails_oma", "secrecy_violation", "mean_secrecy_gap"})
 
@@ -271,15 +294,24 @@ def source_metric(metric: MetricKind) -> MetricKind:
 
 def _gain_moments(cfgs, fields, z1, u, v, z1_oma, u_oma, v_oma):
     """Batch size and (configs, fields) sums and squares of the named fields;
-    the SNR-free minima are formed once per batch, the rest once per config.
+    the SNR-free minima are formed once per batch, a _RHO_STAR field's critical
+    SNRs once per distinct rate targets, the rest once per config.
     A field's mean is the estimate of the metric of the same name."""
     gmin = np.minimum(z1, u)  # the weakest of the K gains sets both allocations
     gmin_oma = np.minimum(z1_oma, u_oma)
     sums, sumsqs = np.empty((2, len(cfgs), len(fields)))
+    rho_stars = {}
     for p, cfg in enumerate(cfgs):
         outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, gmin, gmin_oma)
         for i, name in enumerate(fields):
-            x = _FIELD_OF[name](outcomes)  # an indicator is its own square, its count exact
+            if name in _RHO_STAR:
+                rho_star, holds = _RHO_STAR[name]
+                key = (name, cfg.r_m, cfg.r_u, cfg.r_s)
+                if key not in rho_stars:
+                    rho_stars[key] = rho_star(outcomes)
+                x = holds(rho_stars[key], cfg.rho)
+            else:
+                x = _FIELD_OF[name](outcomes)  # an indicator is its own square, its count exact
             sums[p, i] = np.count_nonzero(x) if x.dtype == bool else x.sum()
             sumsqs[p, i] = sums[p, i] if x.dtype == bool else (x * x).sum()
     return len(z1), sums, sumsqs

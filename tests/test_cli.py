@@ -715,12 +715,48 @@ def test_main_unwritable_output_is_a_config_error(tmp_path, capsys, sub):
 
 
 def test_main_unwritable_report_is_a_config_error(tmp_path, capsys):
-    """The report file is checked like the CSVs: here its path is a directory."""
+    """The report file is checked like the CSVs: here its path is a directory.
+    Every file of a run is written under a temporary name and renamed only
+    after the last write succeeded, so neither CSV is left, nor any temporary."""
     (tmp_path / "fig1_report.txt").mkdir()
     code = main(["--scenario", "fig1", "--mode", "analytic", "--snr", "10",
                  "--out", str(tmp_path)])
     assert code == 2
     assert "cannot write" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["fig1_report.txt"]
+
+
+def test_write_that_fails_midway_leaves_the_output_directory_as_it_was(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A write that fails after others succeeded (here the report's, made to fail)
+    leaves --out as it found it: the files of an earlier run stay as they were."""
+    def run(snr):
+        return main(["--scenario", "fig2", "--mode", "analytic", "--snr", snr,
+                     "--out", str(tmp_path)])
+    assert run("10") == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text = cli._write_text
+
+    def failing(path, text, name=None):
+        if name is not None and name.name == "fig2_report.txt":
+            raise ScenarioError(f"cannot write {name}: disk full")
+        write_text(path, text, name)
+    monkeypatch.setattr(cli, "_write_text", failing)
+    assert run("20") == 2
+    assert capsys.readouterr().err.endswith("disk full\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_analytic_skip_note_names_every_variant(tmp_path, capsys):
+    """fig3 with scheduling on runs two jobs (the MRT beam, and the equal-gain and
+    random beams' one law), and none has a closed form: the exit-3 message
+    names all three variants, each once."""
+    assert main(["--scenario", "fig3", "--scheduling", "on", "--mode", "analytic",
+                 "--snr", "10", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    for name in ("fig3_mrt", "fig3_equal", "fig3_random"):
+        assert err.count(f"no closed form applies to scenario {name!r}") == 1, name
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_end_to_end_pass(tmp_path):

@@ -8,19 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from full_matrix_oracle import full_matrix_gains
-from link_oracle import evaluate_link, gains
+from link_oracle import evaluate_link, gains, outage_events
 from nomacast.montecarlo import (_BLOCK, _CHUNK, _KBLOCK, _PAIRED, EQUAL_GAIN, MRT,
                                  OUTAGE_RATE_OF, RANDOM, MetricKind, SimulationPlan,
                                  _chunk_moments, _FIELD_OF, _field_estimates,
-                                 _gain_moments, _Outcomes, _sample_gains, derive_estimate,
-                                 estimate_many, gain_law, source_metric)
+                                 _gain_moments, _Outcomes, _RHO_STAR, _sample_gains,
+                                 derive_estimate, estimate_many, gain_law, source_metric)
 from nomacast.rng import DOMAIN_GAIN_STATS, DOMAIN_GAINS
 from nomacast.transmission import RATE_EQ_GUARD, LinkConfig, power_fraction
 from rng_stream import RngStream, bits_to_exponential, bits_to_uniform, window_bits
 from window_oracle import law_of, sample_gains, window_gains
 
 CFG = LinkConfig(rho=10.0 ** 1.6, r_m=1.0, r_u=6.0, r_s=2.0)
-_FIELDS = tuple(_FIELD_OF)  # every kernel field, in the kernel's order
+_FIELDS = (*_FIELD_OF, *_RHO_STAR)  # every kernel field, of either table
+
+
+def _field_value(name, outcomes):
+    """A field's per-realization value, from whichever of the two tables holds it."""
+    if name in _RHO_STAR:
+        rho_star, holds = _RHO_STAR[name]
+        return holds(rho_star(outcomes), outcomes.cfg.rho)
+    return _FIELD_OF[name](outcomes)
 
 
 def test_plan_validation():
@@ -359,7 +367,7 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
         outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, np.minimum(z1, u),
                              np.minimum(z1_oma, u_oma))
         for name in _FIELDS:
-            x = _FIELD_OF[name](outcomes)
+            x = _field_value(name, outcomes)
             assert x.shape == (plan.samples,), name
             assert (x.dtype == bool) == (not name.startswith("mean_")), name
 
@@ -528,6 +536,8 @@ def test_outage_indicators_nonincreasing_in_snr(z1, others, lo_db, step_db, r_m,
     With gains in [0.01, 100] both thresholds lie below 80 dB, so an indicator
     that starts at 1 falls to 0 inside the grid.  Bounded gains also keep the
     strict upper bound on alpha_U^2 from being lost to rounding.
+    Each indicator is one compare of rho against an SNR-free threshold
+    (eps_m/g, rho*_U), so this holds by construction.
     """
     z1, others = np.array([z1]), np.array([others])
     cfgs = [LinkConfig(10.0 ** (db / 10.0), r_m, r_u)
@@ -558,6 +568,7 @@ def test_secrecy_outage_indicators_nonincreasing_in_snr(others, ratios, same_bea
     0.05 dB could flip an indicator sitting within an ulp of r_s.  At r_s = 0
     a realization with no positive secrecy rate (all power on the multicast
     layer, or z1 <= v) is an outage, as it is for r_s > 0.
+    The NOMA indicator is one compare of rho against rho*_S: it holds by construction.
     """
     others = np.array(others).T[:, None, :]  # (MRT, OMA beam) x 1 realization x K-1
     z1 = np.array(ratios)[:, None] * 2.0 ** r_s * others.max(axis=2)
@@ -570,6 +581,75 @@ def test_secrecy_outage_indicators_nonincreasing_in_snr(others, ratios, same_bea
     _, sums, _ = _gain_moments(cfgs, ("secrecy_outage", "secrecy_outage_oma"), *gains,
                                *gains_oma)
     assert np.all(np.diff(sums, axis=0) <= 0)
+
+
+def _predicate_counts(cfgs, z1, u, v):
+    """(configs, 2) counts of the NOMA unicast and secrecy outage predicates at
+    every config, as the kernel evaluated them before their critical SNRs: from
+    alpha_U^2 of power_fraction at each point."""
+    g = np.minimum(z1, u)
+    counts = np.empty((len(cfgs), 2))
+    for p, cfg in enumerate(cfgs):
+        alpha_u2 = power_fraction(g, cfg)
+        counts[p] = (np.count_nonzero(z1 * alpha_u2 < cfg.eps_u / cfg.rho),
+                     np.count_nonzero((z1 - 2.0**cfg.r_s * v) * alpha_u2 <= cfg.eps_s / cfg.rho))
+    return counts
+
+
+_ORACLE_EVENTS = ("multicast_outage", "unicast_outage", "secrecy_outage")  # of outage_events
+_DENSE_DB = np.arange(0.0, 40.05, 0.1).tolist()  # 0:40:0.1, 401 points
+
+
+@pytest.mark.parametrize("name, seed", [("mrt", 91), ("split", 92), ("joint", 93),
+                                        ("scheduled", 94), ("scheduled_joint", 95)])
+def test_critical_snr_counts_equal_the_rate_predicate_counts(name, seed):
+    """On 2^18 windows of each law at M = 10, K = 11, the counts of rho < rho*_U
+    and rho <= rho*_S equal those of the per-point predicates they replaced, at
+    every preset's grid and targets and on a 401-point grid: sums and squares alike."""
+    law, fields = law_of(name, 10, 11), ("unicast_outage", "secrecy_outage")
+    cfgs = [LinkConfig(10.0 ** (db / 10.0), 1.0, r_u, r_s)
+            for grid, r_u, r_s in [(range(0, 41, 4), 6.0, 0.0), (range(0, 41, 4), 7.0, 0.0),
+                                   (range(0, 41, 5), 6.0, 1.0), (range(0, 41, 5), 6.0, 2.0),
+                                   (range(0, 41, 5), 6.0, 3.0), (_DENSE_DB, 6.0, 2.0)]
+            for db in grid]
+    for block in _sample_gains(10, 11, law, seed, 0, 1 << 18, _KBLOCK):
+        _, sums, sumsqs = _gain_moments(cfgs, fields, *block)
+        expected = _predicate_counts(cfgs, *block[:3])
+        assert np.array_equal(sums, expected) and np.array_equal(sumsqs, expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(z1=st.floats(1e-2, 100.0), others=st.lists(st.floats(1e-2, 100.0), min_size=1,
+                                                  max_size=9),
+       r_m=st.floats(0.1, 4.0), r_u=st.floats(0.1, 12.0), r_s=st.floats(0.0, 4.0),
+       ulps=st.integers(1, 4))
+def test_critical_snr_counts_agree_with_the_link_oracle_near_a_tie(z1, others, r_m, r_u,
+                                                                   r_s, ulps):
+    """Grid points placed within ``ulps`` ulps of each rho* on either side, and
+    at relative distances 1e-11 to 1e-2 from it: wherever |rho - rho*| exceeds
+    1e-12 rho*, each NOMA outage count of one realization equals the link
+    oracle's indicator, whose alpha_U^2 is the minimum over all K users.
+    Within an ulp the two roundings may disagree; nothing is asserted there."""
+    stats = (np.array([z1]), np.array([min(others)]), np.array([max(others)]))
+    gmin = np.minimum(stats[0], stats[1])
+    outcomes = _Outcomes(LinkConfig(1.0, r_m, r_u, r_s), *stats[::2], *stats[::2], gmin, gmin)
+    for name, (rho_star, _) in _RHO_STAR.items():
+        star = float(rho_star(outcomes)[0])
+        if not math.isfinite(star):  # z1 <= 2^r_s v: an outage at every SNR
+            rhos = [1e-3, 1.0, 1e6]
+        else:
+            rhos = [star * (1.0 + sign * rel) for sign in (-1.0, 1.0)
+                    for rel in (1e-11, 1e-6, 1e-2)]
+            below = above = star
+            for _ in range(ulps):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            rhos += [below, star, above]
+        cfgs = [LinkConfig(rho, r_m, r_u, r_s) for rho in rhos]
+        _, sums, _ = _gain_moments(cfgs, (name,), *stats, *stats)
+        for cfg, [count] in zip(cfgs, sums):
+            if not abs(cfg.rho - star) <= 1e-12 * star:  # also where rho* is infinite
+                oracle = outage_events(gains(z1, others), cfg)[_ORACLE_EVENTS.index(name)]
+                assert count == oracle, (name, cfg)
 
 
 @settings(derandomize=True, deadline=None)
@@ -680,7 +760,7 @@ def test_rejects_too_few_users():
 def test_paired_fields_are_the_fields_that_read_both_beams():
     """_PAIRED holds exactly the fields whose value reads a gain of the MRT triple
     and one of the OMA triple, seen by recording the attributes each field's
-    lambda touches (the cached rates read the gains in turn)."""
+    lambda (or critical SNR) touches (the cached rates read the gains in turn)."""
     class Recording(_Outcomes):
         def __init__(self, *args):
             self.read = set()
@@ -692,7 +772,7 @@ def test_paired_fields_are_the_fields_that_read_both_beams():
 
     gains = [np.array([0.5, 3.0, 40.0])] * 6
     both = set()
-    for name, field in _FIELD_OF.items():
+    for name, field in [*_FIELD_OF.items(), *((n, f) for n, (f, _) in _RHO_STAR.items())]:
         outcomes = Recording(CFG, *gains)
         field(outcomes)
         reads_mrt = bool(outcomes.read & {"z1", "v", "gmin"})
