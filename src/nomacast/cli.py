@@ -5,7 +5,7 @@ Monte Carlo budget.  The five ``fig*`` presets reproduce the reference
 operating points; arbitrary scenarios load from a flat key=value config
 file (see the README for the grammar).  Each run writes one CSV per metric
 plus a text report comparing analytic and Monte Carlo values wherever both
-exist.
+exist; the library's ``run_scenario`` writes the CSVs and no report.
 
 Exit codes: 0 all comparisons pass (or nothing to compare), 1 a comparison
 failed, 2 configuration error, 3 analytics unsupported for every variant of
@@ -204,7 +204,7 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _csv_text(rows) -> str:
+def emit_csv(rows) -> str:
     """Metric rows as CSV text with the fixed schema and deterministic order."""
     rows = sorted(rows, key=lambda r: (r["snr_db"], r["metric"], r["method"]))
     if not rows:
@@ -219,35 +219,29 @@ def _csv_text(rows) -> str:
     return text.getvalue()
 
 
-def _write_text(path: Path, text: str, name=None):
+def _write_text(path: Path, text: str, name):
     """Write ``text`` to ``path``, creating its directory.  An output path that
-    cannot be created or written is a usage error, reported as ``name`` (default ``path``)."""
+    cannot be created or written is a usage error, reported as ``name``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ScenarioError(f"cannot write {name or path}: {exc}") from None
-
-
-def emit_csv(rows, path):
-    """Write metric rows with the fixed schema and deterministic order."""
-    _write_text(Path(path), _csv_text(rows))
-    return Path(path)
+        raise ScenarioError(f"cannot write {name}: {exc}") from None
 
 
 def _write_all(files):
-    """Write each (path, text) of the list ``files`` under a temporary name beside
-    its path, and rename them all only after the last write succeeded, so a run
-    whose write fails leaves none of its files."""
+    """Write each text of the dict ``files`` {path: text} under a temporary name
+    beside its path, and rename them all only after the last write succeeded, so
+    a run whose write fails leaves none of its files."""
     temps = []
     try:
-        for path, text in files:
+        for path, text in files.items():
             if path.is_dir():  # its rename would fail after the others had landed
                 raise ScenarioError(f"cannot write {path}: it is a directory")
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
             _write_text(temps[-1], text, path)
-        for temp, (path, _) in zip(temps, files):
+        for temp, path in zip(temps, files):
             os.replace(temp, path)
     except OSError as exc:
         raise ScenarioError(f"cannot write {exc.filename2 or exc.filename}: {exc}") from None
@@ -261,12 +255,14 @@ def run_scenario(scenario: Scenario, out_dir=".", mode: str = "both",
                  workers: int = 1):
     """Execute one scenario variant; returns (report, list of CSV paths).
 
-    A metric without a closed form gets no analytic rows; in analytic mode a
-    variant with none at all writes no CSV and says so in a report note.
+    Writes the CSVs all or nothing, as ``main`` does, and no report.  A metric
+    without a closed form gets no analytic rows; in analytic mode a variant
+    with none at all writes no CSV and says so in a report note.
     """
     report, csv_rows = _evaluate(scenario, mode, workers)
-    return report, [emit_csv(rows, path)
-                    for path, rows in _csv_paths(scenario, csv_rows, out_dir).items()]
+    files = _csv_files(scenario, csv_rows, out_dir)
+    _write_all(files)
+    return report, list(files)
 
 
 def _evaluate(scenario: Scenario, mode: str, workers: int):
@@ -320,9 +316,9 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
     return report, csv_rows
 
 
-def _csv_paths(scenario: Scenario, csv_rows, out_dir) -> dict:
-    """{path: rows} of one CSV per metric with rows, named after the variant."""
-    return {Path(out_dir) / f"{scenario.name}_{metric.value}.csv": rows
+def _csv_files(scenario: Scenario, csv_rows, out_dir) -> dict:
+    """{path: CSV text} of one CSV per metric with rows, named after the variant."""
+    return {Path(out_dir) / f"{scenario.name}_{metric.value}.csv": emit_csv(rows)
             for metric, rows in csv_rows.items() if rows}
 
 
@@ -463,12 +459,11 @@ def main(argv=None) -> int:
         if args.mode == "analytic" and not any(any(rows.values()) for _, rows in jobs.values()):
             raise analysis.UnsupportedAnalyticsError(  # no variant has a closed form
                 "; ".join(dict.fromkeys(note for r in reports for note in r.all_notes)))
-        csvs = {path: rows for key, scenario in zip(keys, scenarios)
-                for path, rows in _csv_paths(scenario, jobs[key][1], args.out).items()}
+        csvs = {path: text for key, scenario in zip(keys, scenarios)
+                for path, text in _csv_files(scenario, jobs[key][1], args.out).items()}
         summary = "\n\n".join(r.render() for r in reports)
         summary_path = Path(args.out) / f"{run_name}_report.txt"
-        _write_all([*((path, _csv_text(rows)) for path, rows in csvs.items()),
-                    (summary_path, summary + "\n")])
+        _write_all({**csvs, summary_path: summary + "\n"})
         for path in csvs:
             print(f"wrote {path}")
         print(summary)

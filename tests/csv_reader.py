@@ -1,7 +1,8 @@
 """Read the CLI's metric CSVs back, for the tests that check what a run wrote.
 
-The package only writes these files (``nomacast.cli.emit_csv``); reading them
-back is the tests' job.
+The package only writes these files: ``nomacast.cli.emit_csv`` formats them
+and ``nomacast.cli._write_all`` writes them.  Reading them back is the tests'
+job.
 """
 
 from __future__ import annotations

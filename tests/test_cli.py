@@ -92,10 +92,12 @@ def test_every_public_name_resolves():
     assert set(nomacast.__all__) <= set(namespace)
 
 
-def test_names_the_benchmark_reads_from_cli(tmp_path):
+def test_names_the_benchmark_reads_from_cli(tmp_path, monkeypatch):
     """perfbench drives the package through these cli names, and
     perfbench/make_reference.py takes its closed-form references from
-    analytic_value; dropping one would pass every other test."""
+    analytic_value; dropping one would pass every other test.  perfbench times
+    CSV formatting by rebinding cli.emit_csv, so run_scenario must call it
+    through the module-level name, once per CSV."""
     cfg = LinkConfig(10.0 ** 1.6, 1.0, 6.0)
     p = unicast_outage_prob(10, 11, cfg, chebyshev_rule(20)).total
     assert cli.analytic_value(MetricKind.UNICAST_OUTAGE, cfg, 10, 11, 20) == p
@@ -104,9 +106,12 @@ def test_names_the_benchmark_reads_from_cli(tmp_path):
     assert cli.analytic_value(MetricKind.UNICAST_OUTAGE, cfg, 10, 11, 20, True) is None
     assert cli.analysis is nomacast.analysis  # perfbench times the closed forms there
     variants, _ = cli.resolve_scenarios("fig1")
+    assert callable(cli.emit_csv)
+    formatted = []
+    monkeypatch.setattr(cli, "emit_csv", lambda rows: formatted.append(rows) or emit_csv(rows))
     report, paths = cli.run_scenario(replace(variants[0], snr_grid_db=(16.0,)),
                                      out_dir=tmp_path, mode="analytic", workers=1)
-    assert report.all_pass and paths and callable(cli.emit_csv)
+    assert report.all_pass and paths and len(formatted) == len(paths)
 
 
 def test_module_entry_point_exits_with_main_status(tmp_path):
@@ -182,9 +187,7 @@ def test_csv_byte_identical_across_runs(tmp_path):
 
 def test_csv_round_trip_idempotent(tmp_path):
     _, paths = run_scenario(_tiny(), out_dir=tmp_path)
-    original = paths[0].read_bytes()
-    emit_csv(read_csv(paths[0]), paths[0])
-    assert paths[0].read_bytes() == original
+    assert emit_csv(read_csv(paths[0])).encode() == paths[0].read_bytes()
 
 
 def test_csv_header_schema(tmp_path):
@@ -374,7 +377,7 @@ def _read_bad_header(inputs, out):
     (_main_on_config("m = 2\nk = 3\n"), 2, "malformed scenario config"),
     (_main_on_config(_CFG_HEAD + "metrics = unicast_outage\n[scenario]\nseed = 1\n"), 2,
      "malformed scenario config"),
-    (lambda inputs, out: emit_csv([], out / "empty.csv"), ValueError, "no rows to write"),
+    (lambda inputs, out: emit_csv([]), ValueError, "no rows to write"),
     (_read_bad_header, ScenarioError, "unexpected CSV header"),
     (lambda inputs, out: LinkConfig(0.0, 1.0, 1.0), ValueError,
      "rho must be positive, got 0.0"),
@@ -737,13 +740,34 @@ def test_write_that_fails_midway_leaves_the_output_directory_as_it_was(tmp_path,
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     write_text = cli._write_text
 
-    def failing(path, text, name=None):
-        if name is not None and name.name == "fig2_report.txt":
+    def failing(path, text, name):
+        if name.name == "fig2_report.txt":
             raise ScenarioError(f"cannot write {name}: disk full")
         write_text(path, text, name)
     monkeypatch.setattr(cli, "_write_text", failing)
     assert run("20") == 2
     assert capsys.readouterr().err.endswith("disk full\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_run_scenario_write_that_fails_midway_leaves_out_dir_as_it_was(tmp_path,
+                                                                        monkeypatch):
+    """run_scenario writes its CSVs all or nothing, as main does: when its second
+    CSV cannot be written, the first is neither written nor left as a temporary,
+    and the files of an earlier run stay as they were."""
+    _, paths = run_scenario(_tiny(), out_dir=tmp_path)
+    assert len(paths) == 2 and not list(tmp_path.glob(".*.tmp"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text, calls = cli._write_text, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ScenarioError(f"cannot write {paths[1]}: disk full")
+        write_text(*args)
+    monkeypatch.setattr(cli, "_write_text", failing)
+    with pytest.raises(ScenarioError, match="disk full"):
+        run_scenario(_tiny(seed=78), out_dir=tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
