@@ -281,7 +281,8 @@ def _evaluate(scenario: Scenario, mode: str, workers: int):
         plan = SimulationPlan(scenario.samples, scenario.seed, scenario.scheduling,
                               scenario.oma_beamformer, workers)
         mcs = estimate_many(scenario.metrics, cfgs, (scenario.m, scenario.k), plan)
-        if gain_law(scenario.metrics, scenario.m, scenario.k, plan)[0] == "split":
+        if gain_law(scenario.metrics, scenario.m, scenario.k, scenario.scheduling,
+                    scenario.oma_beamformer)[0] == "split":
             report.notes.append("OMA gains drawn as the M = 1 system: no paired metric requested")
     kinds = () if mode == "mc" else dict.fromkeys(map(source_metric, scenario.metrics))
     for snr_db, cfg, mc in zip(grid, cfgs, mcs):
@@ -409,7 +410,8 @@ def _job_key(scenario: Scenario, run_name: str):
     every field _evaluate reads but the name, which only a skipped variant's note
     carries, with the gain law in place of the OMA beam: the engine reads the beam
     only to pick that law, and CLOSED_FORMS is keyed by metric and scheduling."""
-    law = gain_law(scenario.metrics, scenario.m, scenario.k, scenario)  # plan: beam, scheduling
+    law = gain_law(scenario.metrics, scenario.m, scenario.k, scenario.scheduling,
+                   scenario.oma_beamformer)
     return replace(scenario, name=run_name, oma_beamformer=MRT), law
 
 

@@ -6,10 +6,11 @@ per SNR grid point), one ``{metric: Estimate}`` per config out.  Realization
 ``i`` of a run always draws from counter window ``base + i`` (see
 :mod:`nomacast.rng`), so the estimate is bit-identical for any chunking of
 the index range and any worker count.  Chunks are reduced to running moments
-and combined in index order; workers (one pool per call, at most one worker
-per chunk) only parallelize chunk evaluation.  Gains do not depend on the
-SNR, so every config of a call reuses its windows, drawn and reduced once:
-point estimates stay unbiased but are correlated (common random numbers).
+and combined in index order; workers (one pool per process, kept for later
+calls, at most one worker per chunk) only parallelize chunk evaluation.
+Gains do not depend on the SNR, so every config of a call reuses its windows,
+drawn and reduced once: point estimates stay unbiased but are correlated
+(common random numbers).
 A chunk is one pass from Philox to its moments: ``_BLOCK`` windows at a time
 are drawn into one reused workspace and turned into gains in place, and the
 kernel reduces ``_KBLOCK`` windows at a time, with the bits of one whole draw.
@@ -20,7 +21,9 @@ from one law per call (:func:`gain_law`): their exact joint law, or each triple'
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from concurrent import futures  # .process (multiprocessing) loads with the first pool
 from dataclasses import dataclass
 from enum import Enum
@@ -330,19 +333,50 @@ def _chunk_moments(args):
     return n, sums, sumsqs
 
 
+_POOL = None  # (workers, pid, executor) of the process's one live pool, see _pool
+
+
+def _close_pool():
+    """Shut the live pool down and drop it; a forked child only drops its parent's."""
+    global _POOL
+    if _POOL is not None and _POOL[1] == os.getpid():
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+atexit.register(_close_pool)  # before module teardown, so exit prints nothing
+
+
+def _pool(workers: int):
+    """The live executor of ``workers`` workers in this process: the last pooled
+    call's while its size and pid match, else a new one (never a larger pool,
+    which would run more workers than asked)."""
+    global _POOL
+    if _POOL is not None and _POOL[:2] != (workers, os.getpid()):
+        _close_pool()
+    if _POOL is None:
+        _POOL = (workers, os.getpid(), futures.ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
 def _chunk_results(cfgs, fields, m: int, k: int, law, plan: SimulationPlan, base: int):
     """(n, sums, sumsqs) of each _CHUNK-window chunk, in chunk order, built and
-    evaluated lazily: with several workers and chunks, in one pool (at most
-    one worker per chunk) 2 * workers chunks at a time, so memory stays flat."""
+    evaluated lazily: with several workers and chunks, in the process's pool (at
+    most one worker per chunk) 2 * workers chunks at a time, so memory stays flat.
+    A batch that breaks the pool (say a worker was killed) runs once more in a new one."""
     chunks = ((cfgs, fields, m, k, law, plan.seed, base + lo, min(_CHUNK, plan.samples - lo))
               for lo in range(0, plan.samples, _CHUNK))
     workers = min(plan.workers, -(-plan.samples // _CHUNK))
     if workers == 1:
         yield from map(_chunk_moments, chunks)
         return
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        while batch := list(islice(chunks, 2 * workers)):
-            yield from pool.map(_chunk_moments, batch)
+    while batch := list(islice(chunks, 2 * workers)):
+        try:
+            results = list(_pool(workers).map(_chunk_moments, batch))
+        except futures.BrokenExecutor:  # once: a second break propagates
+            _close_pool()
+            results = list(_pool(workers).map(_chunk_moments, batch))
+        yield from results
 
 
 def _field_estimates(fields, n: int, sums, sumsqs) -> dict:
@@ -388,14 +422,15 @@ def analytic_value(metric: MetricKind, cfg: LinkConfig, m, k, na, scheduling=Fal
     return getattr(analytic_estimate(metric, cfg, m, k, na, scheduling), "value", None)
 
 
-def gain_law(metrics, m: int, k: int, plan: SimulationPlan):
+def gain_law(metrics, m: int, k: int, scheduling: bool, beam: str):
     """(name, key domain, words per window) of the one law that estimate_many draws
-    every window of a run from (see _block_gains).  Of an unscheduled run with a
-    non-MRT beam and M > 1, only a _PAIRED field needs both triples' "joint" law."""
-    one_beam = plan.oma_beamformer == MRT or m == 1
+    every window of a run from (see _block_gains), given its scheduling and OMA
+    beamformer kind ``beam``.  Of an unscheduled run with a non-MRT beam and
+    M > 1, only a _PAIRED field needs both triples' "joint" law."""
+    one_beam = beam == MRT or m == 1
     paired = not _PAIRED.isdisjoint(source_metric(x).value for x in metrics)
-    return (("scheduled", DOMAIN_GAINS, k * m) if plan.scheduling and one_beam else
-            ("scheduled_joint", DOMAIN_GAINS, k * m + k) if plan.scheduling else
+    return (("scheduled", DOMAIN_GAINS, k * m) if scheduling and one_beam else
+            ("scheduled_joint", DOMAIN_GAINS, k * m + k) if scheduling else
             ("mrt", DOMAIN_GAIN_STATS, m + 2) if one_beam else
             ("joint", DOMAIN_GAINS, m + 3 * (k - 1)) if paired else
             ("split", DOMAIN_SPLIT, m + 5))
@@ -411,7 +446,7 @@ def estimate_many(metrics, cfgs, system, plan: SimulationPlan, stream_base: int 
     analysis._check_size(*system)
     zero = np.zeros((len(cfgs), len(fields)))
     n, sums, sumsqs = 0, zero, zero
-    law = gain_law(metrics, *system, plan)
+    law = gain_law(metrics, *system, plan.scheduling, plan.oma_beamformer)
     for chunk in _chunk_results(cfgs, fields, *system, law, plan, stream_base):  # exact order
         n, sums, sumsqs = n + chunk[0], sums + chunk[1], sumsqs + chunk[2]
     estimates = [_field_estimates(fields, n, s, q) for s, q in zip(sums, sumsqs)]

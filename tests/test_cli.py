@@ -532,8 +532,7 @@ def test_each_preset_variant_draws_its_gain_law():
     """fig3's equal-gain and random variants ask for no paired metric, so they
     draw the split law; the scheduled variants draw the scheduled MRT law, and
     every other variant the unscheduled MRT law."""
-    laws = {s.name: gain_law(s.metrics, s.m, s.k, SimulationPlan(
-                s.samples, s.seed, s.scheduling, s.oma_beamformer))[0]
+    laws = {s.name: gain_law(s.metrics, s.m, s.k, s.scheduling, s.oma_beamformer)[0]
             for variants in PRESETS.values() for s in variants}
     assert len(laws) == 11
     special = {"fig3_equal": "split", "fig3_random": "split",
@@ -792,6 +791,20 @@ def test_main_end_to_end_pass(tmp_path):
     assert (tmp_path / "fig1_unicast_outage.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--r-m", "600", "--snr", "10"], ["--snr", "-3000"],
+                                   ["--r-m", "600", "--snr", "-3000"]],
+                         ids=["r_m_600", "snr_-3000", "both"])
+def test_unicast_closed_form_is_finite_where_its_density_underflows(tmp_path, flags):
+    """Where x**2 underflows at the q3 nodes, exp(-(K-1)/x) is 0 too, and so is
+    the density: no inf * 0 gives the closed form a nan (and the run a FAIL),
+    and no floating-point warning (an error under Tier-1) is raised, even where
+    the nodes themselves are 0."""
+    assert main(["--scenario", "fig1", "--samples", "4096", *flags, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "fig1_unicast_outage.csv")
+    assert [r["value"] for r in rows if r["method"] == "analytic"] == [1.0]
+    assert "verdict: PASS" in (tmp_path / "fig1_report.txt").read_text()
+
+
 def test_main_config_file_end_to_end(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -802,23 +815,69 @@ def test_main_config_file_end_to_end(tmp_path):
     assert (tmp_path / "run_report.txt").exists()
 
 
-def test_one_process_pool_per_scenario_run(tmp_path, monkeypatch):
-    """A pooled run draws each window once for the whole grid, in one pool."""
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """One entry per executor the engine builds during the test, which starts
+    with no live pool and shuts down the pool it leaves."""
     import nomacast.montecarlo as montecarlo
-    starts = []
-    real = montecarlo.futures.ProcessPoolExecutor
+    starts, real = [], montecarlo.futures.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         starts.append(1)
         return real(*args, **kwargs)
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(montecarlo, "_POOL", None)
+    yield starts
+    montecarlo._close_pool()
+
+
+def test_one_process_pool_per_scenario_run(tmp_path, pool_starts):
+    """A pooled run draws each window once for the whole grid, in one pool, and
+    a second pooled run in the same process reuses it."""
+    import nomacast.montecarlo as montecarlo
     scenario = _tiny(samples=montecarlo._CHUNK + 5000,  # two chunks per point
                      snr_grid_db=(0.0, 10.0, 20.0, 30.0))
     _, pooled = run_scenario(scenario, out_dir=tmp_path / "w2", mode="mc", workers=2)
-    assert len(starts) == 1
+    assert len(pool_starts) == 1
     _, serial = run_scenario(scenario, out_dir=tmp_path / "w1", mode="mc", workers=1)
-    assert len(starts) == 1
+    assert len(pool_starts) == 1
     assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in serial]
+    _, again = run_scenario(scenario, out_dir=tmp_path / "again", mode="mc", workers=2)
+    assert len(pool_starts) == 1
+    assert [p.read_bytes() for p in again] == [p.read_bytes() for p in serial]
+
+
+def test_pooled_calls_of_one_process_start_one_pool(tmp_path, pool_starts):
+    """Two pooled estimate_many calls and then a pooled run_scenario start one
+    executor between them, and each equals its serial run bit for bit."""
+    import nomacast.montecarlo as montecarlo
+    samples = montecarlo._CHUNK + 5000  # two chunks, so two workers
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
+    cfgs = [LinkConfig(10.0, 1.0, 2.0, 1.0), LinkConfig(100.0, 1.0, 2.0, 1.0)]
+    for seed in (5, 6):
+        pooled = estimate_many(metrics, cfgs, (2, 3), SimulationPlan(samples, seed, workers=2))
+        assert pooled == estimate_many(metrics, cfgs, (2, 3), SimulationPlan(samples, seed))
+    scenario = _tiny(samples=samples)
+    _, pooled = run_scenario(scenario, out_dir=tmp_path / "w2", mode="mc", workers=2)
+    _, serial = run_scenario(scenario, out_dir=tmp_path / "w1", mode="mc", workers=1)
+    assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in serial]
+    assert len(pool_starts) == 1
+
+
+def test_pooled_cli_run_exits_cleanly(tmp_path):
+    """A pooled CLI run exits 0 with nothing on stderr, and the workers of its
+    pool, still alive when main returns, are gone once the interpreter exits."""
+    run = _python("-c", "import multiprocessing, nomacast.cli as cli; "
+                        "code = cli.main(['--scenario', 'fig1', '--mode', 'mc', '--snr', '10', "
+                        f"'--samples', '70000', '--workers', '2', '--out', {str(tmp_path)!r}]); "
+                        "print(*[p.pid for p in multiprocessing.active_children()]); "
+                        "raise SystemExit(code)")
+    assert run.returncode == 0 and run.stderr == ""
+    pids = [int(pid) for pid in run.stdout.splitlines()[-1].split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_report_includes_scheme_gaps(tmp_path):

@@ -17,8 +17,7 @@ from scipy import stats
 
 from full_matrix_oracle import DOMAIN_FULL_MATRIX, full_matrix_gains
 from nomacast import montecarlo
-from nomacast.montecarlo import (EQUAL_GAIN, MRT, RANDOM, MetricKind, SimulationPlan,
-                                 _block_gains, gain_law)
+from nomacast.montecarlo import EQUAL_GAIN, MRT, RANDOM, MetricKind, _block_gains, gain_law
 from nomacast.rng import (DOMAIN_GAIN_STATS, DOMAIN_GAINS, DOMAIN_SPLIT, fill_uniform,
                           window_generator)
 from rng_stream import bits_to_uniform, window_bits
@@ -55,7 +54,7 @@ def test_key_domains_are_distinct():
 def _law(m, k, scheduling, beamformer, metrics=tuple(MetricKind)):
     """The law a run of ``metrics`` draws; by default every metric, so the joint
     law wherever the beams differ, as the oracle draws."""
-    return gain_law(metrics, m, k, SimulationPlan(1, 1, scheduling, beamformer))
+    return gain_law(metrics, m, k, scheduling, beamformer)
 
 
 def _engine_gains(m, k, law, seed, n, chunk=1 << 14):

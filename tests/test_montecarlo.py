@@ -316,7 +316,8 @@ def _oracle_moments(cfg, realizations):
 def test_batch_engine_matches_per_realization_api(plan):
     """The vectorized engine reproduces the per-realization link oracle."""
     m, k = 3, 5
-    law = gain_law(list(MetricKind), m, k, plan)  # the joint law where the beams differ
+    # every metric, so the joint law where the beams differ
+    law = gain_law(list(MetricKind), m, k, plan.scheduling, plan.oma_beamformer)
     n, [sums], [sumsqs] = _chunk_moments(([CFG], _FIELDS, m, k, law, plan.seed, 0, plan.samples))
     ref_sums, ref_sumsqs = _scalar_reference_moments(CFG, m, k, plan, 0, plan.samples)
     assert n == plan.samples
@@ -361,8 +362,8 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
     """The reduction to estimates tells a probability from a mean by the field
     name alone (see _field_estimates), so the kernel must give a boolean per
     realization for every field but a ``mean_*`` one."""
-    z1, u, v, z1_oma, u_oma, v_oma = sample_gains(3, 5, gain_law((), 3, 5, plan), plan.seed, 0,
-                                                  plan.samples)
+    law = gain_law((), 3, 5, plan.scheduling, plan.oma_beamformer)
+    z1, u, v, z1_oma, u_oma, v_oma = sample_gains(3, 5, law, plan.seed, 0, plan.samples)
     for cfg in (CFG, replace(CFG, rho=1e4, r_s=0.0)):
         outcomes = _Outcomes(cfg, z1, v, z1_oma, v_oma, np.minimum(z1, u),
                              np.minimum(z1_oma, u_oma))
@@ -379,7 +380,8 @@ def test_a_field_is_an_indicator_exactly_when_its_name_lacks_mean(plan):
 def test_requested_fields_equal_the_all_fields_evaluation(plan):
     """The fields each metric reads, alone and in a pair, come out exactly as
     they do when the kernel evaluates every field on the same gains."""
-    gains = sample_gains(3, 5, gain_law((), 3, 5, plan), plan.seed, 0, plan.samples)
+    law = gain_law((), 3, 5, plan.scheduling, plan.oma_beamformer)
+    gains = sample_gains(3, 5, law, plan.seed, 0, plan.samples)
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (0.0, 16.0, 40.0)]
     _, all_sums, all_sumsqs = _gain_moments(cfgs, _FIELDS, *gains)
     sets = [(source_metric(metric).value,) for metric in MetricKind]
@@ -398,11 +400,12 @@ def test_requested_fields_equal_the_all_fields_evaluation(plan):
 def test_chunk_moments_leave_no_reference_cycles(plan):
     """A chunk's arrays are freed by reference counting alone: with the cyclic
     collector off during the call, it has nothing to collect afterwards."""
+    law = gain_law(list(MetricKind), 3, 5, plan.scheduling, plan.oma_beamformer)
     gc.collect()
     gc.disable()
     try:
-        _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5,
-                        gain_law(list(MetricKind), 3, 5, plan), plan.seed, 0, plan.samples))
+        _chunk_moments(([CFG, replace(CFG, rho=1e3)], _FIELDS, 3, 5, law, plan.seed, 0,
+                        plan.samples))
     finally:
         gc.enable()
     assert gc.collect() == 0
@@ -515,9 +518,10 @@ def test_chunk_peak_memory_is_a_few_blocks(scheduling, step_db, metrics, bound):
     plan = SimulationPlan(_CHUNK, seed=81, scheduling=scheduling)
     cfgs = [LinkConfig(10.0 ** (db / 10.0), 1.0, 6.0, 0.0 if step_db == 4 else 2.0)
             for db in range(0, 41, step_db)]
+    law = gain_law((), 10, 11, plan.scheduling, plan.oma_beamformer)
     tracemalloc.start()
     try:
-        _chunk_moments((cfgs, metrics, 10, 11, gain_law((), 10, 11, plan), plan.seed, 0, _CHUNK))
+        _chunk_moments((cfgs, metrics, 10, 11, law, plan.seed, 0, _CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -700,15 +704,10 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_POOL", None)  # so the stand-in is the one built
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = montecarlo._CHUNK + 5000  # two chunks
     pooled = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=64))
@@ -728,12 +727,6 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
         def __init__(self, max_workers):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items):
             items = list(items)
             handed.extend(args[6] for args in items)
@@ -743,12 +736,61 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
                 in_flight[0] -= 1
                 yield fn(args)
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_POOL", None)  # so the stand-in is the one built
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = 9 * _CHUNK + 5000  # ten chunks
     pooled = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=2))
     serial = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=1))
     assert handed == list(range(0, samples, _CHUNK))
     assert max(peaks) <= 4 and pooled == serial
+
+
+def _children():
+    import multiprocessing
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The test starts with no live pool and shuts down the pool it leaves."""
+    import nomacast.montecarlo as montecarlo
+    monkeypatch.setattr(montecarlo, "_POOL", None)
+    yield
+    montecarlo._close_pool()
+
+
+def test_another_worker_count_replaces_the_pool(fresh_pool):
+    """A pooled call with another worker count shuts the live pool down before
+    it starts one of its own size: a pool is never reused at a larger size."""
+    import nomacast.montecarlo as montecarlo
+    metrics = (MetricKind.UNICAST_OUTAGE,)
+    before = _children()
+    three = SimulationPlan(2 * _CHUNK + 5, 14, workers=3)  # three chunks
+    two = SimulationPlan(_CHUNK + 5, 14, workers=3)  # two chunks, so two workers
+    pooled = [estimate_many(metrics, [CFG], (3, 5), three)]
+    first = _children() - before
+    pooled.append(estimate_many(metrics, [CFG], (3, 5), two))
+    second = _children() - before
+    assert len(first) == 3 and len(second) == 2 and not first & second
+    assert pooled == [estimate_many(metrics, [CFG], (3, 5), replace(plan, workers=1))
+                      for plan in (three, two)]
+    montecarlo._close_pool()
+    assert not _children() & second
+
+
+def test_a_killed_worker_costs_a_retry_not_the_run(fresh_pool):
+    """A worker of the live pool killed between two calls breaks that pool; the
+    next call hands its batch to a new pool and equals the serial run."""
+    import os
+    import signal
+
+    metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
+    plan = SimulationPlan(_CHUNK + 5000, 15, workers=2)
+    before = _children()
+    estimate_many(metrics, [CFG], (3, 5), plan)
+    os.kill(min(_children() - before), signal.SIGKILL)
+    pooled = estimate_many(metrics, [CFG], (3, 5), plan)
+    assert pooled == estimate_many(metrics, [CFG], (3, 5), replace(plan, workers=1))
 
 
 def test_rejects_too_few_users():
@@ -808,7 +850,7 @@ def test_the_gain_law_is_chosen_from_the_plan_and_the_metrics():
                         MetricKind.MEAN_SECRECY_GAP)]
     for scheduling, beamformer, m, metrics, name in cases:
         for k in (2, 5, 11):
-            law = gain_law(metrics, m, k, SimulationPlan(1, 1, scheduling, beamformer))
+            law = gain_law(metrics, m, k, scheduling, beamformer)
             assert law == law_of(name, m, k), (scheduling, beamformer, m, k, metrics)
 
 
@@ -837,7 +879,7 @@ def test_split_runs_are_bit_identical_for_any_workers_and_chunking():
     plan = SimulationPlan(70_000, seed=87, oma_beamformer=EQUAL_GAIN)
     metrics = [m for m in MetricKind if source_metric(m).value not in _PAIRED]
     cfgs = [replace(CFG, rho=10.0 ** (db / 10.0)) for db in (8.0, 20.0, 32.0)]
-    law = gain_law(metrics, 10, 11, plan)
+    law = gain_law(metrics, 10, 11, plan.scheduling, plan.oma_beamformer)
     assert law[0] == "split"
     one = estimate_many(metrics, cfgs, (10, 11), plan)
     assert one == estimate_many(metrics, cfgs, (10, 11), replace(plan, workers=2))
@@ -859,7 +901,7 @@ def test_split_oma_metrics_match_the_single_antenna_system():
     oma = (MetricKind.UNICAST_OUTAGE_OMA, MetricKind.SECRECY_OUTAGE_OMA)
     noma = (MetricKind.UNICAST_OUTAGE,)
     plan = SimulationPlan(1 << 18, seed=88, oma_beamformer=RANDOM)
-    assert gain_law(noma + oma, 10, 11, plan)[0] == "split"
+    assert gain_law(noma + oma, 10, 11, plan.scheduling, plan.oma_beamformer)[0] == "split"
     random = estimate_many(noma + oma, cfgs, (10, 11), plan)
     single = estimate_many(oma, cfgs, (1, 11), SimulationPlan(1 << 18, seed=89))
     mrt = estimate_many(noma, cfgs, (10, 11), SimulationPlan(1 << 18, seed=90))
