@@ -21,7 +21,6 @@ from one law per call (:func:`gain_law`): their exact joint law, or each triple'
 
 from __future__ import annotations
 
-import atexit
 import math
 import os
 from concurrent import futures  # .process (multiprocessing) loads with the first pool
@@ -336,15 +335,14 @@ def _chunk_moments(args):
 _POOL = None  # (workers, pid, executor) of the process's one live pool, see _pool
 
 
-def _close_pool():
-    """Shut the live pool down and drop it; a forked child only drops its parent's."""
+def close_pool():
+    """Shut down the pool that this process's pooled runs share, so its workers
+    exit now, not at interpreter exit; the next pooled run starts a new one.
+    A forked child only drops its parent's pool."""
     global _POOL
     if _POOL is not None and _POOL[1] == os.getpid():
         _POOL[2].shutdown()
     _POOL = None
-
-
-atexit.register(_close_pool)  # before module teardown, so exit prints nothing
 
 
 def _pool(workers: int):
@@ -353,7 +351,7 @@ def _pool(workers: int):
     which would run more workers than asked)."""
     global _POOL
     if _POOL is not None and _POOL[:2] != (workers, os.getpid()):
-        _close_pool()
+        close_pool()
     if _POOL is None:
         _POOL = (workers, os.getpid(), futures.ProcessPoolExecutor(max_workers=workers))
     return _POOL[2]
@@ -374,7 +372,7 @@ def _chunk_results(cfgs, fields, m: int, k: int, law, plan: SimulationPlan, base
         try:
             results = list(_pool(workers).map(_chunk_moments, batch))
         except futures.BrokenExecutor:  # once: a second break propagates
-            _close_pool()
+            close_pool()
             results = list(_pool(workers).map(_chunk_moments, batch))
         yield from results
 

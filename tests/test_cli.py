@@ -817,8 +817,7 @@ def test_main_config_file_end_to_end(tmp_path):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """One entry per executor the engine builds during the test, which starts
-    with no live pool and shuts down the pool it leaves."""
+    """One entry per executor the engine builds during the test."""
     import nomacast.montecarlo as montecarlo
     starts, real = [], montecarlo.futures.ProcessPoolExecutor
 
@@ -826,9 +825,7 @@ def pool_starts(monkeypatch):
         starts.append(1)
         return real(*args, **kwargs)
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", counting)
-    monkeypatch.setattr(montecarlo, "_POOL", None)
-    yield starts
-    montecarlo._close_pool()
+    return starts
 
 
 def test_one_process_pool_per_scenario_run(tmp_path, pool_starts):

@@ -706,8 +706,10 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
+
+        def shutdown(self):
+            pass
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo, "_POOL", None)  # so the stand-in is the one built
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = montecarlo._CHUNK + 5000  # two chunks
     pooled = estimate_many(metrics, [CFG], (10, 11), SimulationPlan(samples, 12, workers=64))
@@ -735,8 +737,10 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
             for args in items:
                 in_flight[0] -= 1
                 yield fn(args)
+
+        def shutdown(self):
+            pass
     monkeypatch.setattr(montecarlo.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo, "_POOL", None)  # so the stand-in is the one built
     metrics = (MetricKind.UNICAST_OUTAGE, MetricKind.MEAN_OMA_SECRECY_RATE)
     samples = 9 * _CHUNK + 5000  # ten chunks
     pooled = estimate_many(metrics, [CFG], (3, 5), SimulationPlan(samples, 13, workers=2))
@@ -750,16 +754,7 @@ def _children():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """The test starts with no live pool and shuts down the pool it leaves."""
-    import nomacast.montecarlo as montecarlo
-    monkeypatch.setattr(montecarlo, "_POOL", None)
-    yield
-    montecarlo._close_pool()
-
-
-def test_another_worker_count_replaces_the_pool(fresh_pool):
+def test_another_worker_count_replaces_the_pool():
     """A pooled call with another worker count shuts the live pool down before
     it starts one of its own size: a pool is never reused at a larger size."""
     import nomacast.montecarlo as montecarlo
@@ -774,11 +769,11 @@ def test_another_worker_count_replaces_the_pool(fresh_pool):
     assert len(first) == 3 and len(second) == 2 and not first & second
     assert pooled == [estimate_many(metrics, [CFG], (3, 5), replace(plan, workers=1))
                       for plan in (three, two)]
-    montecarlo._close_pool()
+    montecarlo.close_pool()
     assert not _children() & second
 
 
-def test_a_killed_worker_costs_a_retry_not_the_run(fresh_pool):
+def test_a_killed_worker_costs_a_retry_not_the_run():
     """A worker of the live pool killed between two calls breaks that pool; the
     next call hands its batch to a new pool and equals the serial run."""
     import os
