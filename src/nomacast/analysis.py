@@ -142,10 +142,11 @@ def _unicast_q3(m: int, k: int, cfg: LinkConfig, rule: QuadratureRule) -> float:
     y = 1.0 / psi - eps_m / (rho * psi) * x
     cdf_y = np.zeros_like(y)  # P(1/z1 <= y) = Gamma(M, 1/y)/(M-1)! for y > 0, else 0
     cdf_y[y > 0] = _upper_reg(m, 1.0 / y[y > 0])
-    with np.errstate(divide="ignore"):  # x is 0 once rho/eps_m underflows: e = 0, 1/x = inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # x or x**2 is 0 only where e is
         e, inv_x = np.exp(-(k - 1) / x), 1.0 / x
-    pdf_x, pos = np.zeros_like(x), e > 0  # 0 where e is, not inf * 0 once x**2 underflows
-    pdf_x[pos] = (k - 1) / x[pos]**2 * e[pos]
+        pdf_x = (k - 1) / x**2 * e
+    if not e.all():  # the density is 0 where e is, not inf * 0 once x**2 underflows
+        pdf_x[e == 0] = 0.0
     return float(np.sum(rule.weights * half * ((_upper_reg(m, inv_x) - cdf_y) * pdf_x)
                         * np.sqrt(1.0 - rule.nodes**2)))
 
